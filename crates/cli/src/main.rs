@@ -349,17 +349,16 @@ fn corpus_info(path: &Path) -> ExitCode {
     );
     match loaded.checkpoint {
         Some(checkpoint) => {
+            let report = checkpoint.report();
             println!(
                 "  checkpoint: {} instructions against `{}` ({} divergent runs)",
-                checkpoint.report.instructions_generated,
-                checkpoint.report.dut,
-                checkpoint.report.divergent_runs
+                report.instructions_generated, report.dut, report.divergent_runs
             );
             println!(
                 "  coordinator: {} worker stream(s), {} finding(s), \
                  autosave #{} after {} batch(es)",
-                checkpoint.worker_count,
-                checkpoint.report.findings.len(),
+                checkpoint.workers.len(),
+                report.findings.len(),
                 checkpoint.autosave_ordinal,
                 checkpoint.batches_completed
             );
@@ -514,7 +513,7 @@ mod tests {
         // full budget.
         let loaded = persist::load_file(&corpus).unwrap();
         let checkpoint = loaded.checkpoint.unwrap();
-        assert!(checkpoint.report.instructions_generated >= 2_000);
+        assert!(checkpoint.report().instructions_generated >= 2_000);
         assert!(!loaded.entries.is_empty());
 
         // A multi-worker persistent run seeds from and rewrites the same
@@ -529,7 +528,6 @@ mod tests {
         assert_eq!(run_fuzz(&sharded), ExitCode::SUCCESS);
         let loaded = persist::load_file(&corpus).unwrap();
         let checkpoint = loaded.checkpoint.expect("coordinated runs checkpoint too");
-        assert_eq!(checkpoint.worker_count, 2);
         assert_eq!(checkpoint.workers.len(), 2);
         assert!(!loaded.entries.is_empty());
 

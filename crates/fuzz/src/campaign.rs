@@ -21,7 +21,7 @@ use crate::diff::{
     ConfigError, DiffConfig, DiffEngine, DiffScratch, DiffVerdict, Divergence, DEFAULT_WINDOW,
 };
 use crate::generator::{GeneratorConfig, ProgramGenerator};
-use crate::persist::CampaignCheckpoint;
+use crate::persist::CampaignState;
 use crate::rng::SplitMix64;
 use crate::schedule::PowerSchedule;
 
@@ -135,7 +135,7 @@ impl CampaignConfig {
         }
     }
 
-    /// Check the invariants [`Campaign::new`] requires.
+    /// Check the invariants a campaign under this config requires.
     ///
     /// # Errors
     ///
@@ -187,9 +187,28 @@ impl CampaignConfig {
         }
         fnv.finish()
     }
+
+    /// Check that a checkpoint frozen under config fingerprint `frozen`
+    /// can resume under this config.
+    ///
+    /// # Errors
+    ///
+    /// [`RestoreError::ConfigMismatch`] when the fingerprints differ.
+    pub(crate) fn check_resume(&self, frozen: u64) -> Result<(), RestoreError> {
+        let found = self.fingerprint();
+        if frozen == found {
+            Ok(())
+        } else {
+            Err(RestoreError::ConfigMismatch {
+                expected: frozen,
+                found,
+            })
+        }
+    }
 }
 
-/// Why a [`CampaignCheckpoint`] could not be restored.
+/// Why a [`CampaignCheckpoint`](crate::persist::CampaignCheckpoint)
+/// could not be restored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestoreError {
     /// The checkpoint was frozen under a different campaign
@@ -604,9 +623,10 @@ impl std::fmt::Display for CampaignReport {
     }
 }
 
-/// The fuzzing-campaign driver.
+/// One seed-disjoint fuzzing campaign: the loop a coordinator worker
+/// runs.
 #[derive(Debug, Clone)]
-pub struct Campaign {
+pub(crate) struct Campaign {
     config: CampaignConfig,
     generator: ProgramGenerator,
     corpus: Corpus,
@@ -646,30 +666,10 @@ impl Campaign {
         }
     }
 
-    /// The configuration the campaign was built from.
-    #[must_use]
-    pub fn config(&self) -> &CampaignConfig {
-        &self.config
-    }
-
-    /// The coverage the campaign has accumulated so far. Sharded drivers
-    /// merge the per-worker maps into the aggregate view.
-    #[must_use]
-    pub fn coverage(&self) -> &CoverageMap {
-        &self.coverage
-    }
-
     /// The corpus the campaign has accumulated so far.
     #[must_use]
     pub fn corpus(&self) -> &Corpus {
         &self.corpus
-    }
-
-    /// Consume the campaign, yielding its corpus without cloning —
-    /// for drivers that persist or merge the seeds after the run.
-    #[must_use]
-    pub fn into_corpus(self) -> Corpus {
-        self.corpus
     }
 
     /// Seed the campaign with entries from an earlier run (cross-run
@@ -692,83 +692,55 @@ impl Campaign {
     }
 
     /// Freeze the campaign's complete mid-run state: the report counters
-    /// so far plus every RNG stream position and the coverage map. The
-    /// corpus entries are not part of the checkpoint value — the persist
-    /// layer stores them alongside it as ordinary seed records.
-    ///
-    /// Restoring the checkpoint (with the same config and the same corpus
-    /// entries) and running to a larger budget is bit-identical to a
-    /// single uninterrupted run of that budget.
+    /// so far, every RNG stream position, the coverage map and the
+    /// corpus. Restoring it (with the same config) and running to a
+    /// larger budget is bit-identical to a single uninterrupted run of
+    /// that budget.
     #[must_use]
-    pub(crate) fn checkpoint(&self, report: &CampaignReport) -> CampaignCheckpoint {
+    pub(crate) fn freeze(&self, report: &CampaignReport) -> CampaignState {
         let (generator_rng, library_rng) = self.generator.rng_states();
-        CampaignCheckpoint {
-            config_fingerprint: self.config.fingerprint(),
-            report: report.clone(),
+        CampaignState {
             campaign_rng: self.rng.state(),
             corpus_rng: self.corpus.rng_state(),
             generator_rng,
             library_rng,
+            report: report.clone(),
             coverage: self.coverage.clone(),
-            // The campaign cannot see through the `Dut` trait to a
-            // supervisor's issued-batch counter; drivers holding the
-            // concrete supervisor fill this in before persisting. The
-            // coordinator bookkeeping (autosave ordinal, round counters,
-            // worker streams) is likewise the coordinator's to fill —
-            // one Campaign is exactly one worker's stream.
-            remote_batches: None,
-            autosave_ordinal: 0,
-            batches_completed: 0,
-            rounds_completed: 0,
-            pending_broadcast: 0,
-            worker_count: 1,
-            workers: Vec::new(),
+            entries: self.corpus.entries().to_vec(),
         }
     }
 
-    /// Rebuild a campaign from a [`CampaignCheckpoint`] and the corpus
-    /// entries saved with it. Call [`Campaign::resume`] with the
-    /// checkpoint's report afterwards (or use the two-step flow the CLI
-    /// does: restore, then `resume`).
+    /// Rebuild a campaign from a [`CampaignState`]; continue it with
+    /// [`Campaign::resume`] from the state's report. The caller checks
+    /// the config fingerprint ([`CampaignConfig::check_resume`]).
     ///
     /// # Errors
     ///
-    /// Rejects a checkpoint whose [`CampaignConfig::fingerprint`] does
-    /// not match `config` — resuming under different generation
-    /// parameters cannot reproduce the original stream — and a corpus
-    /// whose entry count differs from what the checkpoint was frozen
-    /// with (seed records lost to corruption, or foreign ones added):
-    /// mutation scheduling indexes into the corpus, so a changed corpus
-    /// silently breaks the bit-identical-resume guarantee.
+    /// Rejects a state whose corpus, once merged, does not hold the
+    /// entry count its report recorded: mutation scheduling indexes into
+    /// the corpus, so a changed corpus silently breaks the
+    /// bit-identical-resume guarantee.
     pub(crate) fn restore(
         config: CampaignConfig,
-        checkpoint: &CampaignCheckpoint,
-        entries: &[SeedEntry],
+        state: &CampaignState,
     ) -> Result<Self, RestoreError> {
-        let found = config.fingerprint();
-        if checkpoint.config_fingerprint != found {
-            return Err(RestoreError::ConfigMismatch {
-                expected: checkpoint.config_fingerprint,
-                found,
-            });
-        }
         let mut campaign = Campaign::new(config);
-        campaign.corpus.merge_entries(entries);
+        campaign.corpus.merge_entries(&state.entries);
         // Validate *after* the merge: duplicate coverage keys dedup away,
         // so an offered list that matches the count but shrinks on merge
         // is just as unresumable as a short one.
-        if campaign.corpus.len() != checkpoint.report.corpus_size {
+        if campaign.corpus.len() != state.report.corpus_size {
             return Err(RestoreError::CorpusMismatch {
-                expected: checkpoint.report.corpus_size,
+                expected: state.report.corpus_size,
                 found: campaign.corpus.len(),
             });
         }
-        campaign.coverage = checkpoint.coverage.clone();
-        campaign.rng.set_state(checkpoint.campaign_rng);
-        campaign.corpus.set_rng_state(checkpoint.corpus_rng);
+        campaign.coverage = state.coverage.clone();
+        campaign.rng.set_state(state.campaign_rng);
+        campaign.corpus.set_rng_state(state.corpus_rng);
         campaign
             .generator
-            .set_rng_states(checkpoint.generator_rng, checkpoint.library_rng);
+            .set_rng_states(state.generator_rng, state.library_rng);
         Ok(campaign)
     }
 
@@ -1012,27 +984,25 @@ mod tests {
         let mut first = Campaign::new(half_config);
         let mut dut = Hart::new(1 << 16);
         let half = first.run(&mut dut);
-        let checkpoint = first.checkpoint(&half);
-        let entries = first.corpus().entries().to_vec();
+        let frozen = first.freeze(&half);
 
         // ...then thawed into a fresh Campaign and run to the full budget.
-        let mut second = Campaign::restore(full_config, &checkpoint, &entries).unwrap();
+        let mut second = Campaign::restore(full_config, &frozen).unwrap();
         let mut dut = Hart::new(1 << 16);
-        let resumed = second.resume(&mut dut, checkpoint.report.clone());
+        let resumed = second.resume(&mut dut, frozen.report.clone());
         assert_eq!(resumed, full, "resume must be bit-identical");
         assert_eq!(second.corpus().entries(), uninterrupted.corpus().entries());
     }
 
     #[test]
     fn restore_rejects_a_different_config() {
-        let campaign = Campaign::new(config(1_000));
-        let checkpoint = campaign.checkpoint(&CampaignReport::default());
+        let frozen = config(1_000).fingerprint();
         let other = CampaignConfig {
             seed: 0xBEEF,
             ..config(1_000)
         };
         assert!(matches!(
-            Campaign::restore(other, &checkpoint, &[]),
+            other.check_resume(frozen),
             Err(RestoreError::ConfigMismatch { .. })
         ));
         // The budget is *not* part of the fingerprint: raising it resumes.
@@ -1040,18 +1010,17 @@ mod tests {
             instruction_budget: 9_999,
             ..config(1_000)
         };
-        assert!(Campaign::restore(bigger, &checkpoint, &[]).is_ok());
+        assert!(bigger.check_resume(frozen).is_ok());
     }
 
     #[test]
     fn restore_rejects_a_different_schedule() {
         // The schedule shapes the corpus-selection stream, so it is part
         // of the config fingerprint — unlike the window.
-        let campaign = Campaign::new(config(1_000));
-        let checkpoint = campaign.checkpoint(&CampaignReport::default());
+        let frozen = config(1_000).fingerprint();
         let other = config(1_000).with_schedule(PowerSchedule::Fast);
         assert!(matches!(
-            Campaign::restore(other, &checkpoint, &[]),
+            other.check_resume(frozen),
             Err(RestoreError::ConfigMismatch { .. })
         ));
     }
@@ -1064,7 +1033,7 @@ mod tests {
                     Campaign::new(config(2_000).with_schedule(schedule).with_window(window));
                 let mut dut = MutantHart::new(1 << 16, BugScenario::OffByOneImmediate);
                 let report = campaign.run(&mut dut);
-                (report, campaign.into_corpus().into_entries())
+                (report, campaign.corpus.into_entries())
             };
             let exact = run(1);
             assert!(!exact.0.is_clean(), "{schedule}: imm mutant undetected");
@@ -1095,12 +1064,11 @@ mod tests {
         let mut first = Campaign::new(half_config);
         let mut dut = Hart::new(1 << 16);
         let half = first.run(&mut dut);
-        let checkpoint = first.checkpoint(&half);
-        let entries = first.corpus().entries().to_vec();
+        let frozen = first.freeze(&half);
 
-        let mut second = Campaign::restore(full_config, &checkpoint, &entries).unwrap();
+        let mut second = Campaign::restore(full_config, &frozen).unwrap();
         let mut dut = Hart::new(1 << 16);
-        let resumed = second.resume(&mut dut, checkpoint.report.clone());
+        let resumed = second.resume(&mut dut, frozen.report.clone());
         assert_eq!(resumed, full, "fast-schedule resume must be bit-identical");
         assert_eq!(
             second.corpus().entries(),
@@ -1117,9 +1085,10 @@ mod tests {
         let mut dut = Hart::new(1 << 16);
         let report = campaign.run(&mut dut);
         assert!(report.corpus_size > 0);
-        let checkpoint = campaign.checkpoint(&report);
+        let mut frozen = campaign.freeze(&report);
+        frozen.entries.clear();
         assert!(matches!(
-            Campaign::restore(config(1_500), &checkpoint, &[]),
+            Campaign::restore(config(1_500), &frozen),
             Err(RestoreError::CorpusMismatch { found: 0, .. })
         ));
     }
@@ -1150,7 +1119,7 @@ mod tests {
         assert_eq!(admitted, donor.corpus().entries().len());
         // Re-priming the same entries admits nothing new.
         assert_eq!(primed.prime(donor.corpus().entries()), 0);
-        assert_eq!(primed.coverage().unique(), donor_report.unique_traces);
+        assert_eq!(primed.coverage.unique(), donor_report.unique_traces);
 
         let mut dut = Hart::new(1 << 16);
         let report = primed.run(&mut dut);
@@ -1204,12 +1173,11 @@ mod tests {
         let mut first = Campaign::new(config(1_000).with_window(32));
         let mut dut = Hart::new(1 << 16);
         let half = first.run(&mut dut);
-        let checkpoint = first.checkpoint(&half);
-        let entries = first.corpus().entries().to_vec();
+        let frozen = first.freeze(&half);
 
-        let mut second = Campaign::restore(full_config, &checkpoint, &entries).unwrap();
+        let mut second = Campaign::restore(full_config, &frozen).unwrap();
         let mut dut = Hart::new(1 << 16);
-        let resumed = second.resume(&mut dut, checkpoint.report.clone());
+        let resumed = second.resume(&mut dut, frozen.report.clone());
         assert_eq!(resumed, full, "cross-window resume must be bit-identical");
     }
 

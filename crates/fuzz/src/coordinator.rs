@@ -10,16 +10,20 @@
 //! speak over channels in *synchronisation rounds*:
 //!
 //! ```text
-//!             RoundTask { broadcast, target }
+//!             RoundTask { broadcast, target, freeze }
 //!   coordinator ──────────────────────────────▶ worker 0..jobs
 //!   coordinator ◀────────────────────────────── worker 0..jobs
-//!             RoundResult { novel seeds, checkpoint, … }
+//!             RoundResult { novel seeds, counters, stream? }
 //! ```
 //!
 //! Each round, every active worker primes the seeds broadcast by the
 //! coordinator (the previous round's global admissions), advances its
 //! own campaign to the round's instruction target, and reports back the
-//! seeds *it* admitted. The coordinator merges those novel seeds into
+//! seeds *it* admitted plus its cumulative counters — a delta, so round
+//! cost does not grow with the corpus. A worker's full [`WorkerStream`]
+//! crosses only when the coordinator asks for a freeze (the round that
+//! triggers an autosave) and in its final round. The coordinator merges
+//! those novel seeds into
 //! the global corpus **in worker-id order** — never channel-arrival
 //! order — and broadcasts the admitted tail next round, so one worker's
 //! discovery reshapes every other worker's power-schedule energies
@@ -40,13 +44,14 @@
 //! * Autosave cadence is counted in completed batches (one batch = one
 //!   worker-round), so checkpoint content never depends on wall-clock.
 //!
-//! Checkpoints (format v5, [`crate::persist`]) carry the coordinator
-//! state — autosave ordinal, batch/round counters, pending-broadcast
-//! tail and one [`WorkerStream`] per worker — so `--resume` composes
-//! with `--jobs N`: every worker thaws its own RNG streams, corpus and
-//! report and the rounds continue where they stopped.
+//! Checkpoints (format v6, [`crate::persist`]) carry the coordinator
+//! counters — autosave ordinal, batch/round counters, pending-broadcast
+//! tail — and one [`WorkerStream`] per worker at every job count, so
+//! `--resume` composes with `--jobs N`: every worker thaws its own RNG
+//! streams, corpus and report and the rounds continue where they
+//! stopped.
 
-use std::collections::BTreeMap;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -337,10 +342,9 @@ pub struct SaveSummary {
 /// the grown corpus and the checkpoint ready to persist.
 #[derive(Debug, Clone)]
 pub struct DriveOutcome {
-    /// All workers folded together ([`CampaignReport::merge`]), with the
-    /// coverage counters replaced by the *union* of the per-worker
-    /// coverage maps. With one worker this is that worker's report,
-    /// verbatim.
+    /// All workers folded together ([`CampaignCheckpoint::report`]):
+    /// one worker's report verbatim, or the merge of several with the
+    /// coverage counters and corpus size of the union.
     pub report: CampaignReport,
     /// Per-worker reports, in worker order.
     pub workers: Vec<WorkerReport>,
@@ -433,10 +437,13 @@ impl std::fmt::Display for DriveOutcome {
 }
 
 /// One worker's round assignment: the seeds every worker admitted last
-/// round, and the absolute instruction target to advance to.
+/// round, the absolute instruction target to advance to, and whether to
+/// ship the worker's full [`WorkerStream`] back (the round triggers an
+/// autosave).
 struct RoundTask {
     broadcast: Vec<SeedEntry>,
     target: u64,
+    freeze: bool,
 }
 
 /// One worker's round report back to the coordinator.
@@ -445,15 +452,12 @@ struct RoundResult {
     /// Seeds this worker's own run admitted this round, in admission
     /// order (broadcast-primed foreign seeds are not echoed back).
     novel: Vec<SeedEntry>,
-    /// The worker's full corpus at the end of the round — what its
-    /// [`WorkerStream`] persists.
-    entries: Vec<SeedEntry>,
-    /// The worker's frozen campaign state (report, RNG streams,
-    /// coverage).
-    checkpoint: CampaignCheckpoint,
+    counters: WorkerCounters,
+    /// The worker's full state: present when the task asked for a
+    /// freeze, and in the worker's final round.
+    stream: Option<WorkerStream>,
     remote: Option<RemoteDutStats>,
     finished: bool,
-    foreign: u64,
 }
 
 /// A worker waiting to be spawned: its campaign, prior report and
@@ -466,7 +470,7 @@ struct WorkerSeat {
     budget: u64,
 }
 
-/// Cumulative per-worker counters the coordinator tracks for events.
+/// Cumulative per-worker counters, shipped every round for events.
 #[derive(Debug, Clone, Copy, Default)]
 struct WorkerCounters {
     programs: u64,
@@ -494,13 +498,54 @@ impl WorkerCounters {
 /// writer and the outcome builder.
 struct CoordinatorState {
     global: Corpus,
-    live_coverage: CoverageMap,
-    totals: BTreeMap<usize, WorkerCounters>,
-    latest: BTreeMap<usize, RoundResult>,
+    /// Distinct trace digests in `global`. A worker's trace coverage is
+    /// exactly the digests of the seeds it holds, and every seed a
+    /// worker holds shares its key with a global one, so this is the
+    /// union coverage's `unique()` without shipping coverage maps.
+    traces: HashSet<u64>,
+    totals: Vec<WorkerCounters>,
+    /// Every worker's latest frozen stream; finished workers keep their
+    /// final one.
+    streams: Vec<Option<WorkerStream>>,
+    /// Worker 0's latest out-of-process DUT statistics.
+    remote: Option<RemoteDutStats>,
     pending: Vec<SeedEntry>,
     autosave_ordinal: u64,
     batches_completed: u64,
     rounds_completed: u64,
+}
+
+impl CoordinatorState {
+    /// Admit one worker's novel seeds into the global corpus, returning
+    /// how many were new.
+    fn admit(&mut self, novel: &[SeedEntry]) -> usize {
+        let before = self.global.len();
+        let admitted = self.global.merge_entries(novel);
+        let fresh = &self.global.entries()[before..];
+        self.traces
+            .extend(fresh.iter().map(|entry| entry.trace_digest));
+        admitted
+    }
+
+    /// Freeze the whole coordinated campaign: fold the workers' live
+    /// calibration into the global corpus, then move every worker's
+    /// latest stream into a checkpoint.
+    fn checkpoint(&mut self, config: &CampaignConfig) -> CampaignCheckpoint {
+        let workers: Vec<WorkerStream> = self
+            .streams
+            .iter_mut()
+            .map(|stream| stream.take().expect("every worker froze its stream"))
+            .collect();
+        refresh_calibration(&mut self.global, &workers);
+        CampaignCheckpoint {
+            config_fingerprint: config.fingerprint(),
+            autosave_ordinal: self.autosave_ordinal,
+            batches_completed: self.batches_completed,
+            rounds_completed: self.rounds_completed,
+            pending_broadcast: self.pending.len(),
+            workers,
+        }
+    }
 }
 
 /// The absolute instruction target worker with budget `budget` advances
@@ -538,14 +583,19 @@ fn worker_loop<D: Dut>(
         // whatever it observed.
         let dead = report.instructions_generated < task.target;
         let finished = dead || task.target >= seat.budget;
+        let remote = dut.remote_stats();
+        let stream = (task.freeze || finished).then(|| WorkerStream {
+            campaign: seat.campaign.freeze(&report),
+            foreign_admitted: seat.foreign,
+            remote_batches: remote.map_or(0, |stats| stats.batches_issued),
+        });
         let result = RoundResult {
             worker: seat.worker,
             novel: seat.campaign.corpus().entries()[before..].to_vec(),
-            entries: seat.campaign.corpus().entries().to_vec(),
-            checkpoint: seat.campaign.checkpoint(&report),
-            remote: dut.remote_stats(),
+            counters: WorkerCounters::of(&report, seat.foreign),
+            stream,
+            remote,
             finished,
-            foreign: seat.foreign,
         };
         let delivered = results.send(result).is_ok();
         if finished || !delivered {
@@ -554,116 +604,29 @@ fn worker_loop<D: Dut>(
     }
 }
 
-/// Merge the latest per-worker states into the aggregate view: reports
-/// folded in worker order, coverage counters replaced by the union,
-/// corpus size by the global corpus.
-/// The live calibration records across every worker's most recent
-/// corpus snapshot, keyed by [`SeedEntry::coverage_key`]. When several
-/// workers hold the same key the lowest worker id wins (`latest` is a
-/// `BTreeMap`, so iteration order is worker-id order) — which for a
-/// freshly admitted seed is always the worker that admitted it.
-fn live_calibrations(
-    latest: &BTreeMap<usize, RoundResult>,
-) -> BTreeMap<(u64, u64), crate::SeedCalibration> {
-    let mut live = BTreeMap::new();
-    for result in latest.values() {
-        for entry in &result.entries {
+/// Fold the workers' live calibration back into the global corpus.
+///
+/// Global entries are clones taken at admission time, but every worker
+/// holding a seed keeps calibrating its own copy each time it selects
+/// and mutates it. Before the corpus leaves the coordinator — an
+/// autosave or the final outcome — the live values are written back.
+/// When several workers hold the same key the lowest worker id wins,
+/// which for a freshly admitted seed is the worker that admitted it, so
+/// a jobs-1 save carries exactly the calibration the plain
+/// single-threaded campaign would have saved.
+fn refresh_calibration(global: &mut Corpus, workers: &[WorkerStream]) {
+    let mut live = HashMap::new();
+    for stream in workers {
+        for entry in &stream.campaign.entries {
             live.entry(entry.coverage_key())
                 .or_insert(entry.calibration);
         }
     }
-    live
-}
-
-/// Fold the workers' live calibration back into the global corpus.
-///
-/// Global entries are clones taken at admission time, but the owning
-/// worker keeps calibrating its own copy every time the seed is
-/// selected and mutated. Before the corpus leaves the coordinator — an
-/// autosave or the final outcome — the live values are written back,
-/// so a jobs-1 save carries exactly the calibration the plain
-/// single-threaded campaign would have saved.
-fn refresh_calibration(global: &mut Corpus, latest: &BTreeMap<usize, RoundResult>) {
-    let live = live_calibrations(latest);
     for entry in global.entries_mut() {
         if let Some(calibration) = live.get(&entry.coverage_key()) {
             entry.calibration = *calibration;
         }
     }
-}
-
-fn merge_latest(
-    latest: &BTreeMap<usize, RoundResult>,
-    global_len: usize,
-) -> (CampaignReport, CoverageMap) {
-    let mut coverage = CoverageMap::new();
-    let mut merged = CampaignReport::default();
-    for result in latest.values() {
-        coverage.merge(&result.checkpoint.coverage);
-        merged.merge(&result.checkpoint.report);
-    }
-    merged.unique_traces = coverage.unique();
-    merged.unique_trap_sets = coverage.unique_trap_sets();
-    merged.corpus_size = global_len;
-    (merged, coverage)
-}
-
-/// Freeze the whole coordinated campaign. With one worker the global
-/// block *is* that worker's campaign state (today's single-campaign
-/// checkpoint, verbatim); with more, the global block carries the
-/// merged view and one [`WorkerStream`] per worker carries the
-/// resumable streams.
-fn build_checkpoint(
-    config: &CampaignConfig,
-    jobs: usize,
-    state: &CoordinatorState,
-) -> CampaignCheckpoint {
-    let mut checkpoint = if jobs == 1 {
-        let result = &state.latest[&0];
-        let mut checkpoint = result.checkpoint.clone();
-        checkpoint.remote_batches = result.remote.map(|stats| stats.batches_issued);
-        checkpoint
-    } else {
-        let (report, coverage) = merge_latest(&state.latest, state.global.len());
-        CampaignCheckpoint {
-            config_fingerprint: config.fingerprint(),
-            report,
-            // The resumable streams live in the per-worker sections; the
-            // global block's own RNG slots are meaningless and zeroed.
-            campaign_rng: 0,
-            corpus_rng: 0,
-            generator_rng: 0,
-            library_rng: 0,
-            coverage,
-            remote_batches: None,
-            autosave_ordinal: 0,
-            batches_completed: 0,
-            rounds_completed: 0,
-            pending_broadcast: 0,
-            worker_count: jobs,
-            workers: state
-                .latest
-                .values()
-                .map(|result| WorkerStream {
-                    worker: result.worker,
-                    campaign_rng: result.checkpoint.campaign_rng,
-                    corpus_rng: result.checkpoint.corpus_rng,
-                    generator_rng: result.checkpoint.generator_rng,
-                    library_rng: result.checkpoint.library_rng,
-                    foreign_admitted: result.foreign,
-                    report: result.checkpoint.report.clone(),
-                    coverage: result.checkpoint.coverage.clone(),
-                    entries: result.entries.clone(),
-                })
-                .collect(),
-        }
-    };
-    checkpoint.autosave_ordinal = state.autosave_ordinal;
-    checkpoint.batches_completed = state.batches_completed;
-    checkpoint.rounds_completed = state.rounds_completed;
-    checkpoint.pending_broadcast = state.pending.len();
-    checkpoint.worker_count = jobs;
-    checkpoint
 }
 
 /// Builder-style driver for coordinated campaigns — the one way to run
@@ -815,7 +778,7 @@ impl<'a> CampaignDriver<'a> {
         let mut sink = self.sink.take();
 
         // 1. Load the corpus file, if any.
-        let loaded: Option<LoadedFile> = match &self.corpus {
+        let mut loaded: Option<LoadedFile> = match &self.corpus {
             Some(path) if path.exists() => {
                 let loaded = persist::load_file(path).map_err(DriveError::Load)?;
                 fire(
@@ -838,7 +801,7 @@ impl<'a> CampaignDriver<'a> {
         // 2. Resume sanity checks that need no DUT.
         let checkpoint: Option<CampaignCheckpoint> = if self.resume {
             let path = self.corpus.as_deref().expect("validated above");
-            let loaded = loaded.as_ref().expect("missing-file case handled above");
+            let loaded = loaded.as_mut().expect("missing-file case handled above");
             if loaded.report.skipped > 0 || loaded.report.truncated {
                 return Err(DriveError::ResumeDamaged {
                     path: path.to_path_buf(),
@@ -846,22 +809,18 @@ impl<'a> CampaignDriver<'a> {
                     truncated: loaded.report.truncated,
                 });
             }
-            let Some(checkpoint) = loaded.checkpoint.clone() else {
+            let Some(checkpoint) = loaded.checkpoint.take() else {
                 return Err(DriveError::NoCheckpoint(path.to_path_buf()));
             };
-            if checkpoint.worker_count != jobs || (jobs > 1 && checkpoint.workers.len() != jobs) {
+            if checkpoint.workers.len() != jobs {
                 return Err(DriveError::JobsMismatch {
-                    frozen: checkpoint.worker_count,
+                    frozen: checkpoint.workers.len(),
                     requested: jobs,
                 });
             }
-            let found = config.fingerprint();
-            if checkpoint.config_fingerprint != found {
-                return Err(DriveError::Restore(RestoreError::ConfigMismatch {
-                    expected: checkpoint.config_fingerprint,
-                    found,
-                }));
-            }
+            config
+                .check_resume(checkpoint.config_fingerprint)
+                .map_err(DriveError::Restore)?;
             Some(checkpoint)
         } else {
             None
@@ -870,18 +829,12 @@ impl<'a> CampaignDriver<'a> {
         // 3. Equip every worker with a DUT.
         let mut duts: Vec<D> = Vec::with_capacity(jobs);
         for worker in 0..jobs {
-            let remote_batches = if jobs == 1 {
-                checkpoint
-                    .as_ref()
-                    .and_then(|c| c.remote_batches)
-                    .unwrap_or(0)
-            } else {
-                0
-            };
             let spec = WorkerSpec {
                 worker,
                 seed: worker_seed(config.seed, worker),
-                remote_batches,
+                remote_batches: checkpoint
+                    .as_ref()
+                    .map_or(0, |checkpoint| checkpoint.workers[worker].remote_batches),
             };
             duts.push(dut_factory(spec).map_err(DriveError::DutFactory)?);
         }
@@ -889,93 +842,60 @@ impl<'a> CampaignDriver<'a> {
         // 4. Build the worker seats and the coordinator state.
         let mut state = CoordinatorState {
             global: Corpus::new(config.seed),
-            live_coverage: CoverageMap::new(),
-            totals: BTreeMap::new(),
-            latest: BTreeMap::new(),
+            traces: HashSet::new(),
+            totals: Vec::new(),
+            streams: (0..jobs).map(|_| None).collect(),
+            remote: None,
             pending: Vec::new(),
             autosave_ordinal: 0,
             batches_completed: 0,
             rounds_completed: 0,
         };
-        let seats: Vec<WorkerSeat> = if let Some(checkpoint) = &checkpoint {
+        let seats: Vec<WorkerSeat> = if let Some(checkpoint) = checkpoint {
+            let frozen = checkpoint.report();
             let dut_name = duts[0].name();
-            if checkpoint.report.dut != dut_name {
+            if frozen.dut != dut_name {
                 return Err(DriveError::DutMismatch {
-                    recorded: checkpoint.report.dut.clone(),
+                    recorded: frozen.dut,
                     offered: dut_name.to_string(),
                 });
             }
-            if checkpoint.report.instructions_generated >= budget {
+            if frozen.instructions_generated >= budget {
                 return Err(DriveError::NothingToResume {
-                    covered: checkpoint.report.instructions_generated,
+                    covered: frozen.instructions_generated,
                 });
             }
             fire(
                 &mut sink,
                 &CampaignEvent::Resuming {
-                    instructions_done: checkpoint.report.instructions_generated,
+                    instructions_done: frozen.instructions_generated,
                     budget,
                 },
             );
-            let entries = &loaded.as_ref().expect("resume loads a file").entries;
-            state.global.merge_entries(entries);
+            // Free the file's seeds before the workers copy their corpora.
+            let file = loaded.take().expect("resume loads a file");
+            state.global.merge_entries(&file.entries);
+            drop(file);
             state.autosave_ordinal = checkpoint.autosave_ordinal;
             state.batches_completed = checkpoint.batches_completed;
             state.rounds_completed = checkpoint.rounds_completed;
             let tail = checkpoint.pending_broadcast.min(state.global.len());
             state.pending = state.global.entries()[state.global.len() - tail..].to_vec();
-            if jobs == 1 {
-                let worker_config = shard_config(&config, 1, 0);
-                let campaign = Campaign::restore(worker_config, checkpoint, entries)
+            let mut seats = Vec::with_capacity(jobs);
+            for (worker, stream) in checkpoint.workers.into_iter().enumerate() {
+                let worker_config = shard_config(&config, jobs, worker);
+                let worker_budget = worker_config.instruction_budget;
+                let campaign = Campaign::restore(worker_config, &stream.campaign)
                     .map_err(DriveError::Restore)?;
-                vec![WorkerSeat {
-                    worker: 0,
+                seats.push(WorkerSeat {
+                    worker,
                     campaign,
-                    prior: checkpoint.report.clone(),
-                    foreign: 0,
-                    budget,
-                }]
-            } else {
-                let mut streams: Vec<&WorkerStream> = checkpoint.workers.iter().collect();
-                streams.sort_by_key(|stream| stream.worker);
-                let mut seats = Vec::with_capacity(jobs);
-                for (index, stream) in streams.into_iter().enumerate() {
-                    if stream.worker != index {
-                        return Err(DriveError::JobsMismatch {
-                            frozen: checkpoint.worker_count,
-                            requested: jobs,
-                        });
-                    }
-                    let worker_config = shard_config(&config, jobs, stream.worker);
-                    let worker_budget = worker_config.instruction_budget;
-                    let adapted = CampaignCheckpoint {
-                        config_fingerprint: worker_config.fingerprint(),
-                        report: stream.report.clone(),
-                        campaign_rng: stream.campaign_rng,
-                        corpus_rng: stream.corpus_rng,
-                        generator_rng: stream.generator_rng,
-                        library_rng: stream.library_rng,
-                        coverage: stream.coverage.clone(),
-                        remote_batches: None,
-                        autosave_ordinal: 0,
-                        batches_completed: 0,
-                        rounds_completed: 0,
-                        pending_broadcast: 0,
-                        worker_count: 1,
-                        workers: Vec::new(),
-                    };
-                    let campaign = Campaign::restore(worker_config, &adapted, &stream.entries)
-                        .map_err(DriveError::Restore)?;
-                    seats.push(WorkerSeat {
-                        worker: stream.worker,
-                        campaign,
-                        prior: stream.report.clone(),
-                        foreign: stream.foreign_admitted,
-                        budget: worker_budget,
-                    });
-                }
-                seats
+                    prior: stream.campaign.report,
+                    foreign: stream.foreign_admitted,
+                    budget: worker_budget,
+                });
             }
+            seats
         } else {
             // Fresh run: the global corpus is primed once, up front, and
             // every worker primes it at its seat — so the round-0
@@ -1008,13 +928,18 @@ impl<'a> CampaignDriver<'a> {
                 })
                 .collect()
         };
+        drop(loaded);
+        state.traces = state
+            .global
+            .entries()
+            .iter()
+            .map(|e| e.trace_digest)
+            .collect();
         state.totals = seats
             .iter()
-            .map(|seat| (seat.worker, WorkerCounters::of(&seat.prior, seat.foreign)))
+            .map(|seat| WorkerCounters::of(&seat.prior, seat.foreign))
             .collect();
-        let budgets: Vec<u64> = (0..jobs)
-            .map(|worker| shard_config(&config, jobs, worker).instruction_budget)
-            .collect();
+        let budgets: Vec<u64> = seats.iter().map(|seat| seat.budget).collect();
 
         // 5. The round loop, inside a thread scope.
         let sync_every = self.sync_every;
@@ -1035,10 +960,16 @@ impl<'a> CampaignDriver<'a> {
 
             let mut round = state.rounds_completed;
             while !active.is_empty() {
+                // Every active worker completes exactly one batch per
+                // round, so whether this round triggers an autosave is
+                // known before it runs; only then do workers freeze.
+                let freeze = autosave_every > 0
+                    && state.batches_completed + active.len() as u64 >= next_autosave;
                 for (worker, tasks) in &active {
                     let task = RoundTask {
                         broadcast: state.pending.clone(),
                         target: round_target(budgets[*worker], round, sync_every),
+                        freeze,
                     };
                     let _ = tasks.send(task);
                 }
@@ -1060,15 +991,11 @@ impl<'a> CampaignDriver<'a> {
                 let tail_start = state.global.len();
                 for result in &batch {
                     state.batches_completed += 1;
-                    let admitted = state.global.merge_entries(&result.novel);
-                    state.live_coverage.merge(&result.checkpoint.coverage);
-                    let counters = WorkerCounters::of(&result.checkpoint.report, result.foreign);
-                    let previous = state
-                        .totals
-                        .insert(result.worker, counters)
-                        .unwrap_or_default();
+                    let admitted = state.admit(&result.novel);
+                    let counters = result.counters;
+                    let previous = std::mem::replace(&mut state.totals[result.worker], counters);
                     let mut sum = WorkerCounters::default();
-                    for c in state.totals.values() {
+                    for c in &state.totals {
                         sum.programs += c.programs;
                         sum.instructions += c.instructions;
                         sum.steps += c.steps;
@@ -1084,7 +1011,7 @@ impl<'a> CampaignDriver<'a> {
                             programs: sum.programs,
                             instructions: sum.instructions,
                             steps: sum.steps,
-                            unique_traces: state.live_coverage.unique(),
+                            unique_traces: state.traces.len(),
                             corpus: state.global.len(),
                             divergent_runs: sum.divergent,
                             dut_failures: sum.failures,
@@ -1115,30 +1042,24 @@ impl<'a> CampaignDriver<'a> {
                     if result.finished {
                         active.retain(|(worker, _)| *worker != result.worker);
                     }
-                    state.latest.insert(result.worker, result);
+                    if result.worker == 0 {
+                        state.remote = result.remote;
+                    }
+                    if let Some(stream) = result.stream {
+                        state.streams[result.worker] = Some(stream);
+                    }
                 }
-                // The broadcast tail carries the admitting worker's
-                // *live* calibration, not the admission-time clone, so
-                // a resumed run (whose pending tail is rebuilt from the
-                // refreshed saved entries) primes byte-identical seeds.
-                let live = live_calibrations(&state.latest);
-                state.pending = state.global.entries()[tail_start..]
-                    .iter()
-                    .cloned()
-                    .map(|mut entry| {
-                        if let Some(calibration) = live.get(&entry.coverage_key()) {
-                            entry.calibration = *calibration;
-                        }
-                        entry
-                    })
-                    .collect();
-                if autosave_every > 0 && state.batches_completed >= next_autosave {
+                // No other worker holds the newly admitted keys yet, so
+                // each admitting worker's round-end copy already carries
+                // the live calibration: broadcast the tail as sent.
+                state.pending = state.global.entries()[tail_start..].to_vec();
+                if freeze {
                     let path = path.as_deref().expect("validated: autosave needs a path");
                     state.autosave_ordinal += 1;
-                    refresh_calibration(&mut state.global, &state.latest);
-                    let frozen = build_checkpoint(&config, jobs, &state);
+                    let frozen = state.checkpoint(&config);
                     persist::save_campaign(path, state.global.entries(), &frozen)
                         .map_err(DriveError::Save)?;
+                    state.streams = frozen.workers.into_iter().map(Some).collect();
                     fire(
                         &mut sink,
                         &CampaignEvent::AutosaveWritten {
@@ -1155,47 +1076,33 @@ impl<'a> CampaignDriver<'a> {
         })?;
         let elapsed = start.elapsed();
 
-        // 6. Fold the final outcome.
-        assert!(
-            state.latest.len() == jobs,
-            "campaign worker panicked before reporting"
-        );
-        refresh_calibration(&mut state.global, &state.latest);
-        let (report, coverage) = if jobs == 1 {
-            // One worker: the merged view is that worker's report,
-            // verbatim — including any same-fingerprint repeats it chose
-            // to record — keeping the jobs=1 bit-identity guarantee.
-            let result = &state.latest[&0];
-            (
-                result.checkpoint.report.clone(),
-                result.checkpoint.coverage.clone(),
-            )
-        } else {
-            merge_latest(&state.latest, state.global.len())
-        };
-        let workers: Vec<WorkerReport> = state
-            .latest
-            .values()
-            .map(|result| WorkerReport {
-                worker: result.worker,
-                seed: worker_seed(config.seed, result.worker),
-                report: result.checkpoint.report.clone(),
+        // 6. Fold the final outcome from every worker's final stream.
+        let checkpoint = state.checkpoint(&config);
+        let workers = checkpoint
+            .workers
+            .iter()
+            .enumerate()
+            .map(|(worker, stream)| WorkerReport {
+                worker,
+                seed: worker_seed(config.seed, worker),
+                report: stream.campaign.report.clone(),
             })
             .collect();
-        let foreign_admitted = state.latest.values().map(|result| result.foreign).sum();
-        let remote = state.latest.get(&0).and_then(|result| result.remote);
-        let checkpoint = build_checkpoint(&config, jobs, &state);
         Ok(DriveOutcome {
-            report,
+            report: checkpoint.report(),
             workers,
-            coverage,
+            coverage: checkpoint.coverage(),
             corpus: state.global.into_entries(),
             elapsed,
-            foreign_admitted,
+            foreign_admitted: checkpoint
+                .workers
+                .iter()
+                .map(|stream| stream.foreign_admitted)
+                .sum(),
             batches_completed: state.batches_completed,
             rounds_completed: state.rounds_completed,
             autosaves: state.autosave_ordinal,
-            remote,
+            remote: state.remote,
             checkpoint,
             path,
         })

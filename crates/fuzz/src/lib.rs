@@ -33,14 +33,16 @@
 //!   and broadcast to every other worker, reshaping their power-schedule
 //!   energies mid-flight — yet admission is ordered by worker id, not
 //!   channel arrival, so a `--jobs N` campaign is deterministic for a
-//!   fixed `N` and `--jobs 1` is bit-identical to the single-threaded
-//!   [`Campaign`]. Progress streams through the [`EventSink`] trait as
-//!   [`CampaignEvent`]s, and the merged result is a [`DriveOutcome`]
-//!   with aggregate steps/sec.
+//!   fixed `N` and `--jobs 1` is bit-identical to the historical
+//!   single-threaded campaign. Workers ship only their novel seeds and
+//!   counters each round; their full state crosses to the coordinator
+//!   only for an autosave and at the end. Progress streams through the
+//!   [`EventSink`] trait as [`CampaignEvent`]s, and the merged result is
+//!   a [`DriveOutcome`] with aggregate steps/sec.
 //! * [`persist`] — the versioned on-disk corpus format: seed entries plus
 //!   an optional [`CampaignCheckpoint`](persist::CampaignCheckpoint)
-//!   (which since format v5 carries per-worker rng streams, so `--resume`
-//!   composes with `--jobs N`), with a header that pins the format
+//!   (one per-worker stream at every job count since format v6, so
+//!   `--resume` composes with `--jobs N`), with a header that pins the format
 //!   version and the
 //!   [`digest stability fingerprint`](tf_arch::digest::STABILITY_FINGERPRINT)
 //!   so stale corpora are rejected, per-record checksums so corrupt
@@ -101,7 +103,7 @@ mod schedule;
 pub mod serve;
 
 pub use campaign::{
-    Campaign, CampaignConfig, CampaignOutcome, CampaignReport, Finding, FindingKind, RestoreError,
+    CampaignConfig, CampaignOutcome, CampaignReport, Finding, FindingKind, RestoreError,
 };
 pub use coordinator::{
     shard_config, worker_seed, CampaignDriver, CampaignEvent, DriveError, DriveOutcome, EventSink,
@@ -140,15 +142,8 @@ pub mod prelude {
     //! assert!(!outcome.report.is_clean());
     //! ```
 
-    pub use crate::persist::{self, LoadReport, LoadedFile, PersistError};
-    pub use crate::{
-        minimize, serve, shard_config, worker_seed, Campaign, CampaignConfig, CampaignDriver,
-        CampaignEvent, CampaignOutcome, CampaignReport, ChaosConfig, ConfigError, Corpus,
-        CoverageMap, DiffConfig, DiffEngine, DiffScratch, DiffVerdict, Divergence, DriveError,
-        DriveOutcome, DutSupervisor, EventSink, Finding, FindingKind, PowerSchedule, RestoreError,
-        SaveSummary, SeedCalibration, SeedEntry, ServeOutcome, SpawnError, SupervisorConfig,
-        WorkerReport, WorkerSpec, DEFAULT_SYNC_EVERY, DEFAULT_WINDOW,
-    };
+    pub use crate::persist::{LoadReport, LoadedFile, PersistError};
+    pub use crate::*;
     pub use tf_arch::{
         fold_sample, BatchOutcome, BugScenario, Dut, DutFailure, DutFailureKind, Hart, MutantHart,
         RunExit,

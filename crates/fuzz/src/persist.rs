@@ -26,12 +26,14 @@
 //! — the program words, both coverage keys and the seed's scheduler
 //! calibration record — and are what
 //! `tf-cli corpus info|merge|minimize` operate on. A [`TAG_CHECKPOINT`]
-//! record is a full campaign freeze (counters, every RNG stream
-//! position, the coverage map, recorded divergences): together with the
-//! seed records it makes `tf-cli fuzz --resume` continue a campaign
-//! *bit-identically* to a run that was never interrupted. Unknown tags
-//! are skipped, so older readers survive newer writers of the same
-//! version.
+//! record is a full campaign freeze: the coordinator's counters plus one
+//! [`WorkerStream`] per worker (RNG positions, report, coverage, corpus)
+//! at every job count. Together with the seed records it makes
+//! `tf-cli fuzz --resume` continue a campaign *bit-identically* to a run
+//! that was never interrupted. A stream entry identical to a seed record
+//! is stored as that record's index, so a one-worker checkpoint costs
+//! about four bytes per seed. Unknown tags are skipped, so older readers
+//! survive newer writers of the same version.
 //!
 //! All multi-byte values are little-endian. Writes go through a
 //! temporary file in the target directory followed by a rename, so a
@@ -39,7 +41,7 @@
 //!
 //! [`STABILITY_FINGERPRINT`]: tf_arch::digest::STABILITY_FINGERPRINT
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -79,19 +81,21 @@ pub const MAGIC: [u8; 8] = *b"TFCORPUS";
 /// the crash/hang/desync counters, the recorded
 /// [`Finding`]s (cause, offending program, batch
 /// ordinal, repeat count) and the supervisor's issued-batch counter
-/// ([`CampaignCheckpoint::remote_batches`]), so `--resume` against a
+/// ([`WorkerStream::remote_batches`] since v6), so `--resume` against a
 /// respawned external DUT — chaos schedules included — stays
 /// bit-identical to an uninterrupted run.
 ///
-/// Version 5 makes checkpoints coordinator-aware: the global block is
-/// re-laid-out (all report fields together, then the coverage sets) and
-/// gains the autosave ordinal, the completed-batch and completed-round
-/// counters, the pending-broadcast tail length, the worker count, and —
-/// for multi-worker campaigns — one [`WorkerStream`] section per worker
-/// (its four RNG stream positions, its own report, coverage map and
-/// corpus entries, and its foreign-admission counter), so `--resume`
-/// composes with `--jobs N`. Seed records are unchanged from v3/v4.
-pub const FORMAT_VERSION: u32 = 5;
+/// Version 5 made checkpoints coordinator-aware: coordinator counters and
+/// one [`WorkerStream`] per worker for multi-worker campaigns.
+///
+/// Version 6 gives checkpoints one layout at every job count: the
+/// coordinator counters (autosave ordinal, completed batches and rounds,
+/// pending-broadcast tail length) plus one [`WorkerStream`] per worker,
+/// one worker included. The merged report, the union coverage and the
+/// worker count are derived on load rather than stored, and each stream
+/// entry identical to a seed record in the same file is written as that
+/// record's index. Seed records are unchanged from v3.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Record tag for one corpus seed entry.
 pub const TAG_SEED: u8 = 1;
@@ -178,70 +182,100 @@ pub struct LoadedFile {
     pub report: LoadReport,
 }
 
-/// A frozen campaign: everything `Campaign::run` needs to continue a
-/// half-spent budget exactly as if it had never stopped.
+/// A frozen coordinated campaign: the coordinator's counters plus one
+/// [`WorkerStream`] per worker, at every job count — everything a
+/// resumed run needs to continue a half-spent budget exactly as if it
+/// had never stopped. The campaign-wide report and coverage are not
+/// stored; [`CampaignCheckpoint::report`] and
+/// [`CampaignCheckpoint::coverage`] derive them from the streams.
 ///
-/// The corpus entries themselves are *not* duplicated here — they live
-/// as ordinary [`TAG_SEED`] records in the same file, which is what
-/// keeps checkpointed corpora directly usable by `corpus merge` and as
-/// plain cross-run seed material.
+/// The global corpus is not duplicated here — it lives as ordinary
+/// [`TAG_SEED`] records in the same file, which is what keeps
+/// checkpointed corpora directly usable by `corpus merge` and as plain
+/// cross-run seed material.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignCheckpoint {
     /// Fingerprint of the [`CampaignConfig`](crate::CampaignConfig) the
     /// campaign ran under (budget excluded — resuming raises it).
     pub config_fingerprint: u64,
-    /// The report counters as of the freeze, divergences included.
-    pub report: CampaignReport,
-    /// Campaign scheduling stream position.
-    pub campaign_rng: u64,
-    /// Corpus mutation stream position.
-    pub corpus_rng: u64,
-    /// Generator decision stream position.
-    pub generator_rng: u64,
-    /// Instruction-library sampling stream position.
-    pub library_rng: u64,
-    /// The coverage map as of the freeze.
-    pub coverage: CoverageMap,
-    /// For campaigns driven through an out-of-process DUT supervisor:
-    /// the number of `run` batches issued to the child-process lineage
-    /// as of the freeze. A resumed campaign hands this back to the
-    /// server as its chaos-counter offset, so deterministic fault
-    /// schedules fire at the same cumulative batch whether or not the
-    /// campaign was interrupted. `None` for in-process DUTs.
-    pub remote_batches: Option<u64>,
-    /// How many autosave checkpoints the campaign has written so far
-    /// (v5; the coordinator bumps this on every periodic freeze).
+    /// How many autosave checkpoints the campaign has written so far.
     pub autosave_ordinal: u64,
     /// Worker round-slices completed across the whole campaign — the
-    /// deterministic currency the autosave cadence is counted in (v5).
+    /// deterministic currency the autosave cadence is counted in.
     pub batches_completed: u64,
     /// Coordinator rounds completed; a resumed campaign continues its
     /// round-slice targets from here so two resumed runs slice their
-    /// budgets identically (v5).
+    /// budgets identically.
     pub rounds_completed: u64,
     /// Length of the global corpus tail that was admitted in the final
     /// completed round and not yet broadcast to the workers. A resumed
-    /// coordinator re-broadcasts exactly these entries first (v5).
+    /// coordinator re-broadcasts exactly these entries first.
     pub pending_broadcast: usize,
-    /// Worker count the campaign ran with. `--resume` requires the same
-    /// `--jobs` value: per-worker streams only continue at the worker
-    /// count they were frozen at (v5).
-    pub worker_count: usize,
-    /// Per-worker stream sections for multi-worker campaigns; empty for
-    /// single-worker campaigns, whose state *is* the global block (v5).
+    /// One stream per worker, in worker order. `--resume` requires the
+    /// same `--jobs` value: streams only continue at the worker count
+    /// they were frozen at.
     pub workers: Vec<WorkerStream>,
 }
 
-/// The frozen mid-run state of one coordinator worker: everything needed
-/// to rebuild its [`Campaign`](crate::Campaign) exactly — RNG stream
-/// positions, its own report and coverage, and its private corpus (which
-/// can differ from the merged global corpus: two workers may discover
-/// different programs with the same coverage key, and only the
-/// lower-indexed worker's program enters the global corpus).
+impl CampaignCheckpoint {
+    /// The campaign-wide report. One worker's report passes through
+    /// verbatim, repeated divergences included. Several fold from empty
+    /// with [`CampaignReport::merge`], so findings deduplicate, and the
+    /// coverage counters and corpus size then count the union: distinct
+    /// trace digests, trap-cause sets and coverage keys across workers.
+    #[must_use]
+    pub fn report(&self) -> CampaignReport {
+        if let [only] = self.workers.as_slice() {
+            return only.campaign.report.clone();
+        }
+        let mut report = CampaignReport::default();
+        let mut keys = HashSet::new();
+        for stream in &self.workers {
+            report.merge(&stream.campaign.report);
+            keys.extend(stream.campaign.entries.iter().map(SeedEntry::coverage_key));
+        }
+        let coverage = self.coverage();
+        report.unique_traces = coverage.unique();
+        report.unique_trap_sets = coverage.unique_trap_sets();
+        report.corpus_size = keys.len();
+        report
+    }
+
+    /// The union of every worker's coverage.
+    #[must_use]
+    pub fn coverage(&self) -> CoverageMap {
+        let mut coverage = CoverageMap::new();
+        for stream in &self.workers {
+            coverage.merge(&stream.campaign.coverage);
+        }
+        coverage
+    }
+}
+
+/// The frozen mid-run state of one coordinator worker: its campaign plus
+/// the two counters the coordinator keeps for it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerStream {
-    /// Worker index, `0..worker_count`.
-    pub worker: usize,
+    /// The worker's campaign.
+    pub campaign: CampaignState,
+    /// Seeds this worker admitted that were discovered by *other*
+    /// workers — the live cross-worker sharing counter.
+    pub foreign_admitted: u64,
+    /// Batches issued to the worker's out-of-process DUT lineage (0 for
+    /// in-process DUTs). A resumed worker hands this back to the server
+    /// as its chaos-counter offset, so deterministic fault schedules
+    /// fire at the same cumulative batch whether or not the campaign
+    /// was interrupted.
+    pub remote_batches: u64,
+}
+
+/// Everything needed to rebuild one campaign exactly: RNG stream
+/// positions, its report and coverage, and its corpus. A worker's corpus
+/// can differ from the global one: two workers may discover different
+/// programs with the same coverage key, and only the lower-indexed
+/// worker's program enters the global corpus.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CampaignState {
     /// Campaign scheduling stream position.
     pub campaign_rng: u64,
     /// Corpus mutation stream position.
@@ -250,14 +284,11 @@ pub struct WorkerStream {
     pub generator_rng: u64,
     /// Instruction-library sampling stream position.
     pub library_rng: u64,
-    /// Seeds this worker admitted that were discovered by *other*
-    /// workers — the live cross-worker sharing counter.
-    pub foreign_admitted: u64,
-    /// The worker's own report counters as of the freeze.
+    /// The report counters as of the freeze, divergences included.
     pub report: CampaignReport,
-    /// The worker's own coverage map as of the freeze.
+    /// The coverage map as of the freeze.
     pub coverage: CoverageMap,
-    /// The worker's private corpus entries, in admission order.
+    /// The corpus entries, in admission order.
     pub entries: Vec<SeedEntry>,
 }
 
@@ -485,11 +516,9 @@ pub(crate) fn read_trace_entry(s: &mut Slice) -> Option<Option<TraceEntry>> {
 }
 
 /// Serialize a full [`CampaignReport`] — counters, detection latency,
-/// divergences, robustness counters and findings. Shared between the
-/// global checkpoint block and every per-worker stream section. The
-/// coverage-derived `unique_traces`/`unique_trap_sets` fields are *not*
-/// written; readers rederive them from the coverage map stored next to
-/// the report.
+/// divergences, robustness counters and findings. The coverage-derived
+/// `unique_traces`/`unique_trap_sets` fields are *not* written; readers
+/// rederive them from the coverage map stored next to the report.
 fn write_report(c: &mut Cursor, r: &CampaignReport) {
     c.str(&r.dut);
     for counter in [
@@ -643,32 +672,50 @@ fn read_coverage(s: &mut Slice) -> Option<CoverageMap> {
     Some(coverage)
 }
 
-fn write_worker_stream(c: &mut Cursor, ws: &WorkerStream) {
-    c.u32(ws.worker as u32);
-    c.u64(ws.campaign_rng);
-    c.u64(ws.corpus_rng);
-    c.u64(ws.generator_rng);
-    c.u64(ws.library_rng);
+/// Stream-entry marker for an entry written inline (a length-prefixed
+/// seed payload) rather than as the index of an identical seed record.
+const INLINE_ENTRY: u32 = u32::MAX;
+
+fn write_worker_stream(
+    c: &mut Cursor,
+    ws: &WorkerStream,
+    index_of: impl Fn(&SeedEntry) -> Option<u32>,
+) {
     c.u64(ws.foreign_admitted);
-    write_report(c, &ws.report);
-    write_coverage(c, &ws.coverage);
-    // Entries are embedded length-prefixed so the seed-record codec is
-    // reused verbatim (it validates against its exact payload length).
-    c.u32(ws.entries.len() as u32);
-    for entry in &ws.entries {
-        let payload = write_seed(entry);
-        c.u32(payload.len() as u32);
-        c.bytes.extend_from_slice(&payload);
+    c.u64(ws.remote_batches);
+    let state = &ws.campaign;
+    c.u64(state.campaign_rng);
+    c.u64(state.corpus_rng);
+    c.u64(state.generator_rng);
+    c.u64(state.library_rng);
+    write_report(c, &state.report);
+    write_coverage(c, &state.coverage);
+    c.u32(state.entries.len() as u32);
+    for entry in &state.entries {
+        match index_of(entry) {
+            Some(index) => c.u32(index),
+            None => {
+                // Length-prefixed so the seed-record codec is reused
+                // verbatim (it validates against its exact payload
+                // length).
+                let payload = write_seed(entry);
+                c.u32(INLINE_ENTRY);
+                c.u32(payload.len() as u32);
+                c.bytes.extend_from_slice(&payload);
+            }
+        }
     }
 }
 
-fn read_worker_stream(s: &mut Slice) -> Option<WorkerStream> {
-    let worker = s.u32()? as usize;
+/// Inverse of [`write_worker_stream`]. Indices resolve against `seeds`,
+/// the seed records read so far; one past them is corruption.
+fn read_worker_stream(s: &mut Slice, seeds: &[SeedEntry]) -> Option<WorkerStream> {
+    let foreign_admitted = s.u64()?;
+    let remote_batches = s.u64()?;
     let campaign_rng = s.u64()?;
     let corpus_rng = s.u64()?;
     let generator_rng = s.u64()?;
     let library_rng = s.u64()?;
-    let foreign_admitted = s.u64()?;
     let mut report = read_report(s)?;
     let coverage = read_coverage(s)?;
     report.unique_traces = coverage.unique();
@@ -676,87 +723,71 @@ fn read_worker_stream(s: &mut Slice) -> Option<WorkerStream> {
     let count = s.u32()? as usize;
     let mut entries = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
-        let len = s.u32()? as usize;
-        let payload = s.take(len)?;
-        entries.push(read_seed(payload)?);
+        entries.push(match s.u32()? {
+            INLINE_ENTRY => {
+                let len = s.u32()? as usize;
+                read_seed(s.take(len)?)?
+            }
+            index => seeds.get(index as usize)?.clone(),
+        });
     }
     Some(WorkerStream {
-        worker,
-        campaign_rng,
-        corpus_rng,
-        generator_rng,
-        library_rng,
+        campaign: CampaignState {
+            campaign_rng,
+            corpus_rng,
+            generator_rng,
+            library_rng,
+            report,
+            coverage,
+            entries,
+        },
         foreign_admitted,
-        report,
-        coverage,
-        entries,
+        remote_batches,
     })
 }
 
-fn write_checkpoint(cp: &CampaignCheckpoint) -> Vec<u8> {
+fn write_checkpoint(cp: &CampaignCheckpoint, seeds: &[SeedEntry]) -> Vec<u8> {
+    let mut by_key = HashMap::with_capacity(seeds.len());
+    for (index, seed) in seeds.iter().enumerate() {
+        by_key.entry(seed.coverage_key()).or_insert(index as u32);
+    }
+    // A stream entry identical to a seed record (program, keys and
+    // calibration) is written as that record's index.
+    let index_of = |entry: &SeedEntry| {
+        let index = *by_key.get(&entry.coverage_key())?;
+        (seeds[index as usize] == *entry).then_some(index)
+    };
     let mut c = Cursor::default();
     c.u64(cp.config_fingerprint);
-    c.u64(cp.campaign_rng);
-    c.u64(cp.corpus_rng);
-    c.u64(cp.generator_rng);
-    c.u64(cp.library_rng);
-    write_report(&mut c, &cp.report);
-    write_coverage(&mut c, &cp.coverage);
-    // `u64::MAX` is the in-process "no supervisor" sentinel.
-    c.u64(cp.remote_batches.unwrap_or(u64::MAX));
-    // v5 tail: coordinator state.
     c.u64(cp.autosave_ordinal);
     c.u64(cp.batches_completed);
     c.u64(cp.rounds_completed);
     c.u64(cp.pending_broadcast as u64);
-    c.u32(cp.worker_count as u32);
     c.u32(cp.workers.len() as u32);
     for ws in &cp.workers {
-        write_worker_stream(&mut c, ws);
+        write_worker_stream(&mut c, ws, index_of);
     }
     c.bytes
 }
 
-fn read_checkpoint(payload: &[u8]) -> Option<CampaignCheckpoint> {
+fn read_checkpoint(payload: &[u8], seeds: &[SeedEntry]) -> Option<CampaignCheckpoint> {
     let mut s = Slice::new(payload);
     let config_fingerprint = s.u64()?;
-    let campaign_rng = s.u64()?;
-    let corpus_rng = s.u64()?;
-    let generator_rng = s.u64()?;
-    let library_rng = s.u64()?;
-    let mut report = read_report(&mut s)?;
-    let coverage = read_coverage(&mut s)?;
-    report.unique_traces = coverage.unique();
-    report.unique_trap_sets = coverage.unique_trap_sets();
-    let remote_batches = match s.u64()? {
-        u64::MAX => None,
-        issued => Some(issued),
-    };
     let autosave_ordinal = s.u64()?;
     let batches_completed = s.u64()?;
     let rounds_completed = s.u64()?;
     let pending_broadcast = usize::try_from(s.u64()?).ok()?;
-    let worker_count = s.u32()? as usize;
     let streams = s.u32()? as usize;
     let mut workers = Vec::with_capacity(streams.min(1 << 10));
     for _ in 0..streams.min(1 << 10) {
-        workers.push(read_worker_stream(&mut s)?);
+        workers.push(read_worker_stream(&mut s, seeds)?);
     }
-
     s.exhausted().then_some(CampaignCheckpoint {
         config_fingerprint,
-        report,
-        campaign_rng,
-        corpus_rng,
-        generator_rng,
-        library_rng,
-        coverage,
-        remote_batches,
         autosave_ordinal,
         batches_completed,
         rounds_completed,
         pending_broadcast,
-        worker_count,
         workers,
     })
 }
@@ -781,7 +812,7 @@ fn file_bytes(entries: &[SeedEntry], checkpoint: Option<&CampaignCheckpoint>) ->
         write_record(&mut out, TAG_SEED, &write_seed(entry));
     }
     if let Some(cp) = checkpoint {
-        write_record(&mut out, TAG_CHECKPOINT, &write_checkpoint(cp));
+        write_record(&mut out, TAG_CHECKPOINT, &write_checkpoint(cp, entries));
     }
     out
 }
@@ -857,28 +888,35 @@ pub fn load_bytes(bytes: &[u8]) -> Result<LoadedFile, PersistError> {
     }
 
     let mut loaded = LoadedFile::default();
+    // Checkpoint indices count seed records as written, so a lost seed
+    // record leaves only the entries before it resolvable.
+    let mut lost_seed: Option<usize> = None;
     while !s.exhausted() {
         let Some((tag, payload)) = read_frame(&mut s) else {
             loaded.report.truncated = true;
             break;
         };
-        let Some(payload) = payload else {
-            // Intact frame, bad checksum: one record lost.
-            loaded.report.skipped += 1;
-            continue;
-        };
+        // `payload` is `None` for an intact frame with a bad checksum:
+        // one record lost.
         match tag {
-            TAG_SEED => match read_seed(payload) {
+            TAG_SEED => match payload.and_then(read_seed) {
                 Some(entry) => {
                     loaded.entries.push(entry);
                     loaded.report.loaded += 1;
                 }
-                None => loaded.report.skipped += 1,
+                None => {
+                    loaded.report.skipped += 1;
+                    lost_seed.get_or_insert(loaded.entries.len());
+                }
             },
-            TAG_CHECKPOINT => match read_checkpoint(payload) {
-                Some(cp) => loaded.checkpoint = Some(cp),
-                None => loaded.report.skipped += 1,
-            },
+            TAG_CHECKPOINT => {
+                let seeds = &loaded.entries[..lost_seed.unwrap_or(loaded.entries.len())];
+                match payload.and_then(|payload| read_checkpoint(payload, seeds)) {
+                    Some(cp) => loaded.checkpoint = Some(cp),
+                    None => loaded.report.skipped += 1,
+                }
+            }
+            _ if payload.is_none() => loaded.report.skipped += 1,
             _ => loaded.report.unknown += 1,
         }
     }
@@ -992,7 +1030,7 @@ mod tests {
         assert!(matches!(err, PersistError::UnsupportedVersion { found: 2 }));
         let message = err.to_string();
         assert!(
-            message.contains("version 2") && message.contains("reads 5"),
+            message.contains("version 2") && message.contains("reads 6"),
             "{message}"
         );
     }
@@ -1150,6 +1188,104 @@ mod tests {
         assert_eq!(kept[0].coverage_key(), (1, 0b01));
         assert_eq!(kept[1].coverage_key(), (2, 0b01));
         assert_eq!(kept[2].coverage_key(), (1, 0b10));
+    }
+
+    fn stream(entries: Vec<SeedEntry>) -> WorkerStream {
+        WorkerStream {
+            campaign: CampaignState {
+                campaign_rng: 1,
+                corpus_rng: 2,
+                generator_rng: 3,
+                library_rng: 4,
+                report: CampaignReport {
+                    dut: "hart".into(),
+                    corpus_size: entries.len(),
+                    ..CampaignReport::default()
+                },
+                coverage: CoverageMap::new(),
+                entries,
+            },
+            foreign_admitted: 5,
+            remote_batches: 6,
+        }
+    }
+
+    fn checkpoint(workers: Vec<WorkerStream>) -> CampaignCheckpoint {
+        CampaignCheckpoint {
+            config_fingerprint: 0xF1,
+            autosave_ordinal: 2,
+            batches_completed: 7,
+            rounds_completed: 4,
+            pending_broadcast: 1,
+            workers,
+        }
+    }
+
+    #[test]
+    fn stream_entries_are_seed_indices_or_inline() {
+        let seeds = vec![
+            entry(&[Instruction::nop(), ebreak()], 1, 0),
+            entry(&[ebreak()], 2, 0b100),
+        ];
+        let size = |entries: Vec<SeedEntry>| {
+            write_checkpoint(&checkpoint(vec![stream(entries)]), &seeds).len()
+        };
+        let bare = size(Vec::new());
+        assert_eq!(
+            size(seeds.clone()),
+            bare + 2 * 4,
+            "equal entries are indices"
+        );
+
+        // An orphan (same key, another program) and an entry that differs
+        // only in calibration are written inline: marker, length, payload.
+        let orphan = entry(&[Instruction::nop(), Instruction::nop(), ebreak()], 1, 0);
+        let mut recalibrated = seeds[1].clone();
+        recalibrated.calibration.spent = 9;
+        for inline in [&orphan, &recalibrated] {
+            let inline_size = 4 + 4 + write_seed(inline).len();
+            assert_eq!(size(vec![inline.clone()]), bare + inline_size, "{inline:?}");
+        }
+
+        let frozen = checkpoint(vec![
+            stream(seeds.clone()),
+            stream(vec![orphan, recalibrated]),
+        ]);
+        let loaded = load_bytes(&file_bytes(&seeds, Some(&frozen))).unwrap();
+        assert_eq!(loaded.checkpoint, Some(frozen.clone()), "exact round trip");
+        assert_eq!(loaded.entries, seeds);
+        assert_eq!(frozen.report().corpus_size, 2, "keys are counted once");
+    }
+
+    #[test]
+    fn unresolvable_stream_indices_make_the_checkpoint_corrupt() {
+        let seeds = vec![
+            entry(&[ebreak()], 1, 0),
+            entry(&[Instruction::nop(), ebreak()], 2, 0),
+            entry(&[ebreak()], 3, 0),
+        ];
+        // An index past the seed records.
+        let frozen = checkpoint(vec![stream(seeds.clone())]);
+        let mut bytes = file_bytes(&seeds[..2], None);
+        write_record(
+            &mut bytes,
+            TAG_CHECKPOINT,
+            &write_checkpoint(&frozen, &seeds),
+        );
+        let loaded = load_bytes(&bytes).unwrap();
+        assert!(loaded.checkpoint.is_none());
+        assert_eq!((loaded.report.loaded, loaded.report.skipped), (2, 1));
+
+        // An index after a skipped seed record: the first record's
+        // payload is damaged, so index 1 no longer names the second
+        // surviving entry — it names nothing.
+        let frozen = checkpoint(vec![stream(vec![seeds[1].clone()])]);
+        let mut bytes = file_bytes(&seeds, Some(&frozen));
+        bytes[20 + 6] ^= 0xFF;
+        let loaded = load_bytes(&bytes).unwrap();
+        assert!(loaded.checkpoint.is_none());
+        assert_eq!((loaded.report.loaded, loaded.report.skipped), (2, 2));
+        assert_eq!(loaded.entries[0], seeds[1]);
     }
 
     #[test]

@@ -62,7 +62,7 @@ fn resume_from_a_mid_run_autosave_is_bit_identical_at_any_job_count() {
         let snapshot = persist::load_file(&frozen).unwrap();
         let checkpoint = snapshot.checkpoint.expect("autosave carries a checkpoint");
         assert!(
-            checkpoint.report.instructions_generated < budget,
+            checkpoint.report().instructions_generated < budget,
             "jobs {jobs}: the frozen autosave already covers the budget"
         );
 
@@ -114,4 +114,47 @@ fn checkpoints_are_pinned_to_their_worker_count() {
         .unwrap();
     assert!(resumed.report.instructions_generated >= 8_000);
     std::fs::remove_file(&path).unwrap();
+}
+
+/// The batch events count unique traces from the global corpus, not
+/// from a merged coverage map; the last one must still match the
+/// outcome's union, fresh or resumed from a mid-run autosave.
+#[test]
+fn the_last_batch_event_matches_the_outcome_fresh_and_resumed() {
+    for jobs in [1usize, 4] {
+        let live = temp_path(&format!("events-live-{jobs}.tfc"));
+        let frozen = temp_path(&format!("events-frozen-{jobs}.tfc"));
+        let _ = std::fs::remove_file(&live);
+        let _ = std::fs::remove_file(&frozen);
+        for resume in [false, true] {
+            let mut last = None;
+            let mut sink = |event: &CampaignEvent| match event {
+                CampaignEvent::AutosaveWritten { ordinal: 1, .. } if !resume => {
+                    std::fs::copy(&live, &frozen).unwrap();
+                }
+                CampaignEvent::BatchCompleted {
+                    unique_traces,
+                    corpus,
+                    ..
+                } => last = Some((*unique_traces, *corpus)),
+                _ => {}
+            };
+            let outcome = CampaignDriver::new(config(0xE7E7, 8_000))
+                .with_jobs(jobs)
+                .with_sync_every(512)
+                .with_corpus(if resume { &frozen } else { &live })
+                .with_resume(resume)
+                .with_autosave_every(3)
+                .with_event_sink(&mut sink)
+                .run(|_| Ok(MutantHart::new(MEM, BugScenario::DroppedFflags)))
+                .unwrap();
+            assert_eq!(
+                last,
+                Some((outcome.report.unique_traces, outcome.corpus.len())),
+                "jobs {jobs}, resume {resume}"
+            );
+        }
+        std::fs::remove_file(&live).unwrap();
+        std::fs::remove_file(&frozen).unwrap();
+    }
 }
