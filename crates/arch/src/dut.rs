@@ -23,7 +23,8 @@ use crate::trap::Trap;
 /// Two devices executed the same program equivalently — to the
 /// resolution of the sampling window — iff their outcomes compare
 /// equal: same step count, same exit, same trap-cause set and the same
-/// digest sample at every sample point.
+/// digest sample at every sample point. Backends fill one through a
+/// [`BatchTally`], the only implementation of the fields' folds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchOutcome {
     /// Steps executed, including a trapping final one.
@@ -39,22 +40,23 @@ pub struct BatchOutcome {
     /// sample is [`fold_sample`] of the state digest, the write history
     /// and the retired instruction count at that point.
     pub samples: Vec<u64>,
-    /// Running [`fold_pc_pair`] over every step's control-flow
-    /// transition (fetch pc → post-step pc), trapped steps included.
-    /// Starts at [`PC_PAIRS_SEED`]; two runs with the same `pc_pairs`
-    /// took the same path to the resolution of the fold. Campaigns use
-    /// it as a cheap path-coverage key.
+    /// Running fold of every step's control-flow transition (fetch pc →
+    /// post-step pc), trapped steps included; see
+    /// [`BatchTally::record`]. Two runs with the same `pc_pairs` took the
+    /// same path to the resolution of the fold. Campaigns use it as a
+    /// cheap path-coverage key.
     pub pc_pairs: u64,
-    /// [`fold_op_classes`] of the retired-instruction opcode-class
-    /// histogram (major-opcode buckets; trapped steps count nothing).
-    /// Campaigns use it as an instruction-mix coverage key.
+    /// Fold of the retired-instruction opcode-class histogram
+    /// (major-opcode buckets; trapped steps count nothing); see
+    /// [`BatchTally::record`]. Campaigns use it as an instruction-mix
+    /// coverage key.
     pub op_classes: u64,
 }
 
 impl Default for BatchOutcome {
-    /// Scratch-initialisation values for [`Dut::run_into`]; a default
-    /// outcome is *not* what a zero-step run produces (that still takes
-    /// its final sample).
+    /// Scratch-initialisation values for [`Dut::run_into`]. The folds
+    /// hold their empty-run values, but a default outcome is *not* what
+    /// a zero-step run produces: that still takes its final sample.
     fn default() -> Self {
         BatchOutcome {
             steps: 0,
@@ -71,31 +73,26 @@ impl Default for BatchOutcome {
 /// (instruction bits `[6:2]`), which cleanly separates loads, stores,
 /// branches, jumps, ALU, AMO, FP and system classes without a
 /// per-mnemonic table.
-pub const OP_CLASS_BUCKETS: usize = 32;
+const OP_CLASS_BUCKETS: usize = 32;
 
 /// Seed for the running [`fold_pc_pair`] accumulator (the FNV-1a offset
 /// basis, shared with the other stable folds).
-pub const PC_PAIRS_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+const PC_PAIRS_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Fold one control-flow transition into a running pc-pair accumulator.
-///
-/// Every step folds its fetch pc and its post-step pc (the trap vector
-/// for trapped steps), so the accumulator fingerprints the executed
-/// path, branches and traps included. Batched backends must use this
-/// exact fold or their [`BatchOutcome::pc_pairs`] will spuriously
-/// mismatch the reference's.
+/// Fold one control-flow transition into a running pc-pair accumulator:
+/// the fetch pc and the post-step pc (the trap vector for trapped
+/// steps), so the accumulator fingerprints the executed path, branches
+/// and traps included.
 #[inline]
-#[must_use]
-pub fn fold_pc_pair(acc: u64, from: u64, to: u64) -> u64 {
+fn fold_pc_pair(acc: u64, from: u64, to: u64) -> u64 {
     (acc ^ from.rotate_left(32) ^ to).wrapping_mul(FNV_PRIME)
 }
 
 /// Fold a retired-instruction opcode-class histogram into the stable
 /// digest scheme (see [`op_class`] for the bucketing).
-#[must_use]
-pub fn fold_op_classes(counts: &[u32; OP_CLASS_BUCKETS]) -> u64 {
+fn fold_op_classes(counts: &[u32; OP_CLASS_BUCKETS]) -> u64 {
     let mut fnv = Fnv::new();
     for &count in counts {
         fnv.write_u64(u64::from(count));
@@ -104,13 +101,154 @@ pub fn fold_op_classes(counts: &[u32; OP_CLASS_BUCKETS]) -> u64 {
 }
 
 /// The opcode-class bucket of a retired instruction: its major-opcode
-/// field (encoded-word bits `[6:2]`). Encoding is exact for every
-/// decodable instruction, so this matches the fetched word's major
-/// opcode bit for bit.
-#[must_use]
-pub fn op_class(insn: &Instruction) -> usize {
-    insn.encode()
-        .map_or(0, |word| ((word >> 2) & 0x1F) as usize)
+/// field (encoded-word bits `[6:2]`), read from the opcode's fixed
+/// encoding, so it matches the fetched word's major opcode bit for bit.
+#[inline]
+fn op_class(insn: &Instruction) -> usize {
+    usize::from(insn.opcode().encoding().opcode >> 2) & (OP_CLASS_BUCKETS - 1)
+}
+
+/// The run bookkeeping of one batch: step and retire counts, exit,
+/// trap-cause set, the pc-pair and op-class coverage folds and the
+/// digest-sampling schedule. The default [`Dut::run_into`], the
+/// reference hart's native batch engine and the differential engine's
+/// exact loop all keep their books through it, so their
+/// [`BatchOutcome`]s agree by construction; a backend overriding
+/// [`Dut::run_into`] uses it too.
+///
+/// The schedule: an interior sample after every step whose number is
+/// divisible by `digest_every` (none when it is `0`), except one that
+/// would coincide with the budget's end or follow the exiting step; and
+/// always a final sample after the last step.
+///
+/// ```
+/// use tf_arch::{BatchOutcome, BatchTally, Dut};
+///
+/// fn run_into(dut: &mut dyn Dut, max_steps: u64, digest_every: u64, out: &mut BatchOutcome) {
+///     let mut tally = BatchTally::new(max_steps, digest_every, out);
+///     while tally.running() {
+///         let from = dut.pc();
+///         let outcome = dut.step();
+///         tally.record(&*dut, from, outcome);
+///     }
+///     tally.finish(&*dut);
+/// }
+/// ```
+#[derive(Debug)]
+pub struct BatchTally<'o> {
+    // The outcome being filled: samples land in it as they are taken
+    // (keeping its allocation), every other field at `finish`.
+    out: &'o mut BatchOutcome,
+    // The step budget; an exit lowers it to the steps taken.
+    budget: u64,
+    digest_every: u64,
+    // Countdown to the next interior sample: equivalent to
+    // `steps % digest_every == 0` because `steps` grows by one, but
+    // without a division per step.
+    until_sample: u64,
+    steps: u64,
+    retired: u64,
+    exit: RunExit,
+    trap_causes: u64,
+    pc_pairs: u64,
+    classes: [u32; OP_CLASS_BUCKETS],
+}
+
+impl<'o> BatchTally<'o> {
+    /// Open the books of a batch of at most `max_steps` steps, sampling
+    /// every `digest_every` steps, into `out`. Its sample buffer is
+    /// cleared, not reallocated, so a hot loop keeps reusing it;
+    /// [`BatchTally::finish`] writes every other field.
+    #[must_use]
+    pub fn new(max_steps: u64, digest_every: u64, out: &'o mut BatchOutcome) -> Self {
+        out.samples.clear();
+        BatchTally {
+            out,
+            budget: max_steps,
+            digest_every,
+            until_sample: digest_every,
+            steps: 0,
+            retired: 0,
+            exit: RunExit::OutOfGas,
+            trap_causes: 0,
+            pc_pairs: PC_PAIRS_SEED,
+            classes: [0; OP_CLASS_BUCKETS],
+        }
+    }
+
+    /// Whether the batch takes another step: budget left and no
+    /// `ebreak`/`ecall` recorded yet.
+    #[inline]
+    #[must_use]
+    pub fn running(&self) -> bool {
+        self.steps < self.budget
+    }
+
+    /// Steps recorded so far.
+    #[must_use]
+    pub fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// Record the step `dut` just took from pc `from` with `outcome`, and
+    /// take an interior sample of its state when the schedule calls for
+    /// one. `dut` must be in its post-step state: its [`Dut::pc`] is the
+    /// step's destination.
+    // Forced: it runs once per step in every batch loop, and a plain
+    // `#[inline]` is declined there.
+    #[inline(always)]
+    pub fn record<D: Dut + ?Sized>(&mut self, dut: &D, from: u64, outcome: StepOutcome) {
+        self.steps += 1;
+        self.pc_pairs = fold_pc_pair(self.pc_pairs, from, dut.pc());
+        match outcome {
+            StepOutcome::Retired(insn) => {
+                self.retired += 1;
+                self.classes[op_class(&insn)] += 1;
+            }
+            StepOutcome::Trapped(trap) => {
+                self.trap_causes |= 1 << (trap.cause().code() & 63);
+                let exit = match trap {
+                    Trap::Breakpoint { .. } => RunExit::Breakpoint { steps: self.steps },
+                    Trap::EnvironmentCall => RunExit::EnvironmentCall { steps: self.steps },
+                    _ => RunExit::OutOfGas,
+                };
+                if exit != RunExit::OutOfGas {
+                    // An exit spends the rest of the budget.
+                    self.exit = exit;
+                    self.budget = self.steps;
+                    return;
+                }
+            }
+        }
+        if self.digest_every != 0 {
+            self.until_sample -= 1;
+            if self.until_sample == 0 {
+                self.until_sample = self.digest_every;
+                if self.steps < self.budget {
+                    sample(&mut self.out.samples, dut, self.retired);
+                }
+            }
+        }
+    }
+
+    /// Close the books: take the final sample of `dut`'s end state and
+    /// write the outcome's remaining fields.
+    pub fn finish<D: Dut + ?Sized>(self, dut: &D) {
+        sample(&mut self.out.samples, dut, self.retired);
+        self.out.steps = self.steps;
+        self.out.exit = self.exit;
+        self.out.trap_causes = self.trap_causes;
+        self.out.pc_pairs = self.pc_pairs;
+        self.out.op_classes = fold_op_classes(&self.classes);
+    }
+}
+
+/// Append the [`fold_sample`] of `dut`'s state to `samples`; kept out of
+/// line so [`BatchTally::record`] stays small.
+#[cold]
+#[inline(never)]
+fn sample<D: Dut + ?Sized>(samples: &mut Vec<u64>, dut: &D, retired: u64) {
+    samples.push(fold_sample(dut.digest(), dut.write_history(), retired));
 }
 
 /// One digest sample of a batched run: the stable [`Fnv`] fold of the
@@ -125,9 +263,7 @@ pub fn op_class(insn: &Instruction) -> usize {
 /// differently, so any window containing a divergence yields a
 /// mismatching sample and is replayed exactly. The retired count is a
 /// cheap extra discriminator for backends whose `write_history` is the
-/// constant default. External backends implementing [`Dut::run`]
-/// directly must use this exact fold for their samples to compare
-/// against the reference's.
+/// constant default. [`BatchTally`] takes every sample with this fold.
 #[must_use]
 pub fn fold_sample(digest: u64, history: u64, retired: u64) -> u64 {
     let mut fnv = Fnv::new();
@@ -265,12 +401,12 @@ pub trait Dut {
     /// Stop tracing and take the recorded trace.
     fn take_trace(&mut self) -> Option<ExecutionTrace>;
 
-    /// The pc the next fetch will use. Feeds the [`fold_pc_pair`]
-    /// path-coverage fold of batched runs. The default returns a
-    /// constant: correct for any backend, but its `pc_pairs` fold then
-    /// degenerates and every window diffed against a pc-bearing
-    /// reference is replayed step by step — the same graceful
-    /// degradation as the [`Dut::write_history`] default.
+    /// The pc the next fetch will use. Feeds the pc-pair path-coverage
+    /// fold of batched runs ([`BatchOutcome::pc_pairs`]). The default
+    /// returns a constant: correct for any backend, but its `pc_pairs`
+    /// fold then degenerates and every window diffed against a
+    /// pc-bearing reference is replayed step by step — the same
+    /// graceful degradation as the [`Dut::write_history`] default.
     fn pc(&self) -> u64 {
         0
     }
@@ -319,55 +455,17 @@ pub trait Dut {
     ///
     /// The default implementation is in terms of [`Dut::step`] and
     /// [`Dut::digest`], so any single-stepping backend gets batching for
-    /// free; backends that override it (subprocess DUTs batching their
-    /// IPC, for instance) must reproduce the exact sampling schedule —
-    /// interior samples at step numbers divisible by `digest_every`
-    /// (skipping a sample that would coincide with the final one), each
-    /// computed with [`fold_sample`] — and the exact [`fold_pc_pair`] /
-    /// [`fold_op_classes`] coverage folds, or their outcomes will
-    /// spuriously mismatch the reference's.
+    /// free. A backend that overrides it (a subprocess DUT batching its
+    /// IPC, for instance) keeps its books through a [`BatchTally`], or
+    /// its outcomes will spuriously mismatch the reference's.
     fn run_into(&mut self, max_steps: u64, digest_every: u64, out: &mut BatchOutcome) {
-        out.steps = 0;
-        out.exit = RunExit::OutOfGas;
-        out.trap_causes = 0;
-        out.samples.clear();
-        let mut retired = 0;
-        let mut pc_pairs = PC_PAIRS_SEED;
-        let mut classes = [0u32; OP_CLASS_BUCKETS];
-        while out.steps < max_steps {
+        let mut tally = BatchTally::new(max_steps, digest_every, out);
+        while tally.running() {
             let from = self.pc();
             let outcome = self.step();
-            out.steps += 1;
-            pc_pairs = fold_pc_pair(pc_pairs, from, self.pc());
-            match outcome {
-                StepOutcome::Retired(insn) => {
-                    retired += 1;
-                    classes[op_class(&insn)] += 1;
-                }
-                StepOutcome::Trapped(trap) => {
-                    out.trap_causes |= 1 << (trap.cause().code() & 63);
-                    match trap {
-                        Trap::Breakpoint { .. } => {
-                            out.exit = RunExit::Breakpoint { steps: out.steps };
-                            break;
-                        }
-                        Trap::EnvironmentCall => {
-                            out.exit = RunExit::EnvironmentCall { steps: out.steps };
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            if digest_every != 0 && out.steps % digest_every == 0 && out.steps < max_steps {
-                out.samples
-                    .push(fold_sample(self.digest(), self.write_history(), retired));
-            }
+            tally.record(&*self, from, outcome);
         }
-        out.samples
-            .push(fold_sample(self.digest(), self.write_history(), retired));
-        out.pc_pairs = pc_pairs;
-        out.op_classes = fold_op_classes(&classes);
+        tally.finish(&*self);
     }
 }
 
@@ -408,10 +506,10 @@ impl Dut for Hart {
         self.state().pc()
     }
 
-    /// Native batched run over predecoded basic blocks — bit-identical
-    /// to the default trait implementation (the property test
-    /// `tests/run_native.rs` proves it), but without the per-step trait
-    /// dispatch, outcome construction and bookkeeping in the inner loop.
+    /// Native batched run: a straight-line walk over the predecoded
+    /// program image — bit-identical to the default trait
+    /// implementation (the property test `tests/run_native.rs` proves
+    /// it), but without the per-step trait dispatch and fetch.
     fn run_into(&mut self, max_steps: u64, digest_every: u64, out: &mut BatchOutcome) {
         self.run_batch_into(max_steps, digest_every, out);
     }

@@ -1,17 +1,12 @@
 //! The hart: fetch, decode, execute — one instruction per [`Hart::step`],
-//! or one predecoded basic block per inner iteration of the native
-//! batched [`Hart::run_batch_into`].
-
-use std::sync::Arc;
+//! or a straight-line walk over the predecoded program image per inner
+//! iteration of the native batched [`Hart::run_batch_into`].
 
 use tf_riscv::csr::{self, CsrAddr};
 use tf_riscv::{Format, Fpr, Gpr, Instruction, Opcode, RoundingMode};
 
 use crate::digest::WideFnv;
-use crate::dut::{
-    fold_op_classes, fold_pc_pair, fold_sample, op_class, BatchOutcome, Dut, OP_CLASS_BUCKETS,
-    PC_PAIRS_SEED,
-};
+use crate::dut::{BatchOutcome, BatchTally, Dut};
 use crate::fpu::{self, dp, sp};
 use crate::mem::Memory;
 use crate::state::ArchState;
@@ -19,13 +14,12 @@ use crate::trace::{ExecutionTrace, StepOutcome, TraceEntry};
 use crate::trap::Trap;
 
 /// Execution routine of one predecoded instruction. Non-capturing, so
-/// every handler is a plain `fn` pointer and a block walk is a
+/// every handler is a plain `fn` pointer and an image walk is a
 /// direct-threaded dispatch loop with no opcode re-matching.
 type Handler = fn(&mut Hart, &MicroOp) -> Result<(), Trap>;
 
-/// One pre-resolved instruction of a predecoded basic block: the decoded
-/// form, its fetch address and raw word (the `(pc, word)` validation
-/// key), and the selected handler.
+/// One predecoded instruction word: its fetch address, the raw word,
+/// the decoded form and the selected handler.
 #[derive(Debug, Clone, Copy)]
 struct MicroOp {
     insn: Instruction,
@@ -33,48 +27,33 @@ struct MicroOp {
     word: u32,
     handler: Handler,
     /// Whether the op can write memory (stores and atomics). Only such
-    /// ops can move the code generation, so the block walk checks for
-    /// in-block self-modification after these alone.
+    /// ops can store into the image, so the walk checks for
+    /// self-modification after these alone.
     stores: bool,
 }
 
-/// A cached straight-line block starting at some pc. Valid while the
-/// memory code-range generation still equals `gen`; on a generation
-/// mismatch the per-word store stamps ([`Memory::code_range_unchanged`])
-/// prove the block's words intact in one L1 scan, and the block is
-/// rebuilt only when one of its words was actually stored to. An empty
-/// `ops` caches a *failed* build (the word at the block's pc does not
-/// decode), so repeated execution there does not re-pay the decode scan.
-#[derive(Debug, Clone)]
-struct Block {
-    gen: u64,
-    ops: Arc<[MicroOp]>,
-}
-
-/// Longest straight-line block predecoded in one go. Bounds the work a
-/// single build or re-validation can do; block-spanning straight-line
-/// code simply continues in the next cached block.
-const BLOCK_CAP: usize = 64;
-
-/// True for opcodes that end a basic block: anything after them in
-/// memory order is not necessarily the next instruction executed.
-/// Branches and jumps redirect control; `ecall`/`ebreak` end the run or
-/// vector to the trap handler. CSR accesses stay in-block — they are
-/// straight-line in this machine-mode-only model.
-fn ends_block(op: Opcode) -> bool {
-    matches!(
-        op,
-        Opcode::Beq
-            | Opcode::Bne
-            | Opcode::Blt
-            | Opcode::Bge
-            | Opcode::Bltu
-            | Opcode::Bgeu
-            | Opcode::Jal
-            | Opcode::Jalr
-            | Opcode::Ecall
-            | Opcode::Ebreak
-    )
+impl MicroOp {
+    /// Predecode the word fetched from `pc`. A word that does not decode
+    /// becomes an op whose handler raises the illegal-instruction trap.
+    fn decode(pc: u64, word: u32) -> Self {
+        let (insn, handler): (Instruction, Handler) = match Instruction::decode(word) {
+            Ok(insn) => (insn, handler_for(insn.opcode())),
+            // The placeholder is never retired: the handler always traps.
+            Err(_) => (Instruction::nop(), |_, m| {
+                Err(Trap::IllegalInstruction { word: m.word })
+            }),
+        };
+        MicroOp {
+            insn,
+            pc,
+            word,
+            handler,
+            stores: matches!(
+                insn.opcode().format(),
+                Format::S | Format::FpStore | Format::Amo
+            ),
+        }
+    }
 }
 
 /// Why [`Hart::run`] returned.
@@ -119,20 +98,12 @@ pub struct Hart {
     mem: Memory,
     reservation: Option<u64>,
     trace: Option<ExecutionTrace>,
-    // Pre-decoded program cache filled by `load_program`: entry `i`
-    // holds the word stored at `icache_base + 4*i` and its decode, so
-    // the fetch path skips the linear opcode scan. Every hit is
-    // validated against the word actually loaded from memory, which
-    // keeps self-modifying programs architecturally exact (a stale
-    // entry simply decodes the fresh word the slow way).
-    icache_base: u64,
-    icache: Vec<(u32, Option<Instruction>)>,
-    // Predecoded-block cache, indexed like the icache: entry `i` caches
-    // the basic block *starting at* `icache_base + 4*i`. Blocks validate
-    // against the memory code-range generation (see
-    // [`Memory::code_generation`]); pcs outside the loaded program never
-    // get blocks and always take the exact per-step path.
-    blocks: Vec<Option<Block>>,
+    // The predecoded program image filled by `load_program`: entry `i`
+    // predecodes the `i`-th word of the memory's code watch. Stores
+    // into the watch queue the words they touch, and the hart
+    // re-decodes exactly those before its next fetch; pcs outside the
+    // image fetch and decode from memory.
+    image: Vec<MicroOp>,
 }
 
 impl Hart {
@@ -144,9 +115,7 @@ impl Hart {
             mem: Memory::new(mem_size),
             reservation: None,
             trace: None,
-            icache_base: 0,
-            icache: Vec::new(),
-            blocks: Vec::new(),
+            image: Vec::new(),
         }
     }
 
@@ -174,7 +143,10 @@ impl Hart {
         &self.mem
     }
 
-    /// The memory, mutably (program loading, data placement).
+    /// The memory, mutably (program loading, data placement). Stores
+    /// into the loaded program are seen by the next fetch. Assign a new
+    /// memory only before loading a program: the predecoded program
+    /// describes the memory it was loaded into.
     pub fn mem_mut(&mut self) -> &mut Memory {
         &mut self.mem
     }
@@ -196,7 +168,8 @@ impl Hart {
         self.trace.as_mut().and_then(ExecutionTrace::last_mut)
     }
 
-    /// Encode `program` and store it contiguously starting at `base`.
+    /// Encode `program`, store it contiguously starting at `base` and
+    /// predecode the stored words into the program image.
     ///
     /// # Errors
     ///
@@ -206,7 +179,7 @@ impl Hart {
     /// ([`Instruction::encode_lossy`]) of the offending instruction in
     /// the type-invariant-excluded case that it fails to encode.
     pub fn load_program(&mut self, base: u64, program: &[Instruction]) -> Result<(), Trap> {
-        let mut icache = Vec::with_capacity(program.len());
+        let mut image = Vec::with_capacity(program.len());
         for (i, insn) in program.iter().enumerate() {
             let addr = base + 4 * i as u64;
             let word = insn.encode().map_err(|_| Trap::IllegalInstruction {
@@ -215,20 +188,15 @@ impl Hart {
             self.mem
                 .store_u32(addr, word)
                 .ok_or(Trap::StoreFault { addr })?;
-            // Cache the decode of the *stored word* (not the given
-            // instruction) so cached fetches are bit-identical to
-            // uncached ones even if encode/decode ever disagreed.
-            icache.push((word, Instruction::decode(word).ok()));
+            // Predecode the *stored word* (not the given instruction) so
+            // image fetches are bit-identical to memory fetches even if
+            // encode/decode ever disagreed.
+            image.push(MicroOp::decode(addr, word));
         }
-        // Only a fully loaded program replaces the cache; fetch-time word
-        // validation keeps any stale range harmless either way.
-        self.icache_base = base;
-        self.icache = icache;
-        // The program image is the code range: stores into it bump the
-        // generation the block cache validates against.
-        self.blocks = vec![None; self.icache.len()];
-        self.mem
-            .set_code_watch(base, base + 4 * self.icache.len() as u64);
+        // Only a fully loaded program replaces the image; until then the
+        // old watch queues the partial load's stores like any others.
+        self.mem.set_code_watch(base, base + 4 * image.len() as u64);
+        self.image = image;
         Ok(())
     }
 
@@ -261,12 +229,75 @@ impl Hart {
     /// and `mstatus` are updated and `pc` points at the handler
     /// (`mtvec.base`). Never panics.
     pub fn step(&mut self) -> StepOutcome {
-        self.state.bump_cycle();
+        sync_image(&mut self.mem, &mut self.image);
         let pc = self.state.pc();
-        let mut word = None;
-        let outcome = match self.execute_at(pc, &mut word) {
+        match self.ops_at(&self.image, pc) {
+            Some(&[op, ..]) => self.execute(&op),
+            _ => self.step_from_memory(pc),
+        }
+    }
+
+    /// Step until an `ebreak`/`ecall` trap or until `max_steps` is spent.
+    pub fn run(&mut self, max_steps: u64) -> RunExit {
+        Dut::run(self, max_steps, 0).exit
+    }
+
+    /// The image ops from the one at `pc` to the end of the image, or
+    /// `None` when `pc` is misaligned or holds no image op.
+    fn ops_at<'i>(&self, image: &'i [MicroOp], pc: u64) -> Option<&'i [MicroOp]> {
+        if pc % 4 != 0 {
+            return None;
+        }
+        image
+            .get(self.mem.code_index(pc)?..)
+            .filter(|ops| !ops.is_empty())
+    }
+
+    /// One step at a pc outside the image: fetch and decode the word
+    /// from memory, or trap on the fetch itself (traced with no word).
+    fn step_from_memory(&mut self, pc: u64) -> StepOutcome {
+        let fetched = if pc % 4 == 0 {
+            self.mem
+                .load_u32(pc)
+                .ok_or(Trap::InstructionFault { addr: pc })
+        } else {
+            Err(Trap::InstructionMisaligned { addr: pc })
+        };
+        match fetched {
+            Ok(word) => self.execute(&MicroOp::decode(pc, word)),
+            Err(trap) => {
+                self.state.bump_cycle();
+                self.retire_or_trap(pc, None, Err(trap))
+            }
+        }
+    }
+
+    /// Execute one predecoded op: `step` and the image walk share it.
+    #[inline]
+    fn execute(&mut self, op: &MicroOp) -> StepOutcome {
+        self.state.bump_cycle();
+        let result = (op.handler)(self, op).map(|()| op.insn);
+        self.retire_or_trap(op.pc, Some(op.word), result)
+    }
+
+    /// The one retire/trap/trace routine: retire the instruction or take
+    /// the trap (vector pc to the handler), and record the step's trace
+    /// entry when tracing.
+    #[inline]
+    fn retire_or_trap(
+        &mut self,
+        pc: u64,
+        word: Option<u32>,
+        result: Result<Instruction, Trap>,
+    ) -> StepOutcome {
+        // Each arm records its own outcome, so the retire path never
+        // builds the enum unless it is traced.
+        match result {
             Ok(insn) => {
                 self.state.bump_instret();
+                if self.trace.is_some() {
+                    self.record(pc, word, StepOutcome::Retired(insn));
+                }
                 StepOutcome::Retired(insn)
             }
             Err(trap) => {
@@ -275,340 +306,79 @@ impl Hart {
                         .csrs_mut()
                         .enter_trap(pc, trap.cause().code(), trap.tval());
                 self.state.set_pc(handler);
+                if self.trace.is_some() {
+                    self.record(pc, word, StepOutcome::Trapped(trap));
+                }
                 StepOutcome::Trapped(trap)
             }
+        }
+    }
+
+    /// Append the trace entry of a finished step.
+    #[cold]
+    fn record(&mut self, pc: u64, word: Option<u32>, outcome: StepOutcome) {
+        let def = match outcome {
+            StepOutcome::Retired(insn) => insn.operands().defs().map(|reg| {
+                let value = match reg {
+                    tf_riscv::Reg::X(g) => self.state.x(g),
+                    tf_riscv::Reg::F(f) => self.state.f_bits(f),
+                };
+                (reg, value)
+            }),
+            StepOutcome::Trapped(_) => None,
         };
-        if self.trace.is_some() {
-            let def = match outcome {
-                StepOutcome::Retired(insn) => insn.operands().defs().map(|reg| {
-                    let value = match reg {
-                        tf_riscv::Reg::X(g) => self.state.x(g),
-                        tf_riscv::Reg::F(f) => self.state.f_bits(f),
-                    };
-                    (reg, value)
-                }),
-                StepOutcome::Trapped(_) => None,
-            };
-            if let Some(trace) = &mut self.trace {
-                trace.push(TraceEntry {
-                    pc,
-                    word,
-                    outcome,
-                    def,
-                });
-            }
-        }
-        outcome
-    }
-
-    /// Step until an `ebreak`/`ecall` trap or until `max_steps` is spent.
-    pub fn run(&mut self, max_steps: u64) -> RunExit {
-        Dut::run(self, max_steps, 0).exit
-    }
-
-    fn execute_at(&mut self, pc: u64, word_out: &mut Option<u32>) -> Result<Instruction, Trap> {
-        if pc % 4 != 0 {
-            return Err(Trap::InstructionMisaligned { addr: pc });
-        }
-        let word = self
-            .mem
-            .load_u32(pc)
-            .ok_or(Trap::InstructionFault { addr: pc })?;
-        *word_out = Some(word);
-        let insn = match self.cached_decode(pc, word) {
-            Some(insn) => insn,
-            None => Instruction::decode(word).map_err(|_| Trap::IllegalInstruction { word })?,
-        };
-        self.exec(insn, pc, word)?;
-        Ok(insn)
-    }
-
-    /// The pre-decoded instruction for `pc`, provided the cache entry's
-    /// word matches what memory actually holds there.
-    fn cached_decode(&self, pc: u64, word: u32) -> Option<Instruction> {
-        let index = usize::try_from(pc.checked_sub(self.icache_base)? / 4).ok()?;
-        match self.icache.get(index) {
-            Some(&(cached_word, decoded)) if cached_word == word => decoded,
-            _ => None,
-        }
-    }
-
-    // ---- predecoded-block engine ---------------------------------------
-
-    /// The cached basic block starting at `pc`, validated or (re)built.
-    /// `blocks` is the hart's own block table, lent out by [`run_batch_into`]
-    /// (see there) so the returned ops slice can be walked while the
-    /// handlers borrow the hart — no per-op indexing, no `Arc` refcount
-    /// traffic in the hot loop. `None` when no block applies — pc
-    /// misaligned, outside the loaded program, or the word there does
-    /// not decode — in which case the caller must take the exact
-    /// per-step path.
-    fn block_at<'b>(&mut self, blocks: &'b mut [Option<Block>], pc: u64) -> Option<&'b [MicroOp]> {
-        if pc % 4 != 0 {
-            return None;
-        }
-        let index = usize::try_from(pc.checked_sub(self.icache_base)? / 4).ok()?;
-        if index >= blocks.len() {
-            return None;
-        }
-        let gen = self.mem.code_generation();
-        let rebuild = match &blocks[index] {
-            Some(block) if block.gen == gen => false,
-            // The generation moved, but the store(s) behind it may not
-            // have hit this block's words: the per-word store stamps
-            // prove intactness without re-reading memory. A cached
-            // failed build covers the one undecodable word at `pc`.
-            Some(block) => !self
-                .mem
-                .code_range_unchanged(pc, block.ops.len().max(1), block.gen),
-            None => true,
-        };
-        if rebuild {
-            self.build_block(blocks, pc, index)
-        } else {
-            let block = blocks[index].as_mut()?;
-            block.gen = gen;
-            (!block.ops.is_empty()).then_some(&block.ops[..])
-        }
-    }
-
-    /// Decode forward from `pc` to the next block-ending instruction (or
-    /// [`BLOCK_CAP`], the end of the program image, or an undecodable
-    /// word) and cache the straight-line result. A failed build (the
-    /// word at `pc` itself does not decode) is cached as an empty block
-    /// so the decode scan is not re-paid until that word is stored to.
-    fn build_block<'b>(
-        &mut self,
-        blocks: &'b mut [Option<Block>],
-        pc: u64,
-        index: usize,
-    ) -> Option<&'b [MicroOp]> {
-        let end = self.icache_base + 4 * blocks.len() as u64;
-        let gen = self.mem.code_generation();
-        let mut ops = Vec::new();
-        let mut addr = pc;
-        while addr < end && ops.len() < BLOCK_CAP {
-            let Some(word) = self.mem.load_u32(addr) else {
-                break;
-            };
-            let insn = match self.cached_decode(addr, word) {
-                Some(insn) => insn,
-                None => match Instruction::decode(word) {
-                    Ok(insn) => insn,
-                    Err(_) => break,
-                },
-            };
-            ops.push(MicroOp {
-                insn,
-                pc: addr,
+        if let Some(trace) = &mut self.trace {
+            trace.push(TraceEntry {
+                pc,
                 word,
-                handler: handler_for(insn.opcode()),
-                stores: matches!(
-                    insn.opcode().format(),
-                    Format::S | Format::FpStore | Format::Amo
-                ),
-            });
-            if ends_block(insn.opcode()) {
-                break;
-            }
-            addr = addr.wrapping_add(4);
-        }
-        blocks[index] = Some(Block {
-            gen,
-            ops: ops.into(),
-        });
-        let block = blocks[index].as_ref()?;
-        (!block.ops.is_empty()).then_some(&block.ops[..])
-    }
-
-    /// Record a retired micro-op into the trace, exactly as
-    /// [`Hart::step`] would have.
-    #[cold]
-    fn trace_retired(&mut self, op: &MicroOp) {
-        let def = op.insn.operands().defs().map(|reg| {
-            let value = match reg {
-                tf_riscv::Reg::X(g) => self.state.x(g),
-                tf_riscv::Reg::F(f) => self.state.f_bits(f),
-            };
-            (reg, value)
-        });
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceEntry {
-                pc: op.pc,
-                word: Some(op.word),
-                outcome: StepOutcome::Retired(op.insn),
+                outcome,
                 def,
-            });
-        }
-    }
-
-    /// Record a trapped micro-op into the trace, exactly as
-    /// [`Hart::step`] would have.
-    #[cold]
-    fn trace_trapped(&mut self, op: &MicroOp, trap: Trap) {
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceEntry {
-                pc: op.pc,
-                word: Some(op.word),
-                outcome: StepOutcome::Trapped(trap),
-                def: None,
             });
         }
     }
 
     /// Native batched run: the [`Dut::run`] override for [`Hart`].
     ///
-    /// Executes whole predecoded blocks between sample points, with the
-    /// per-step trait dispatch, [`StepOutcome`] construction and
-    /// bookkeeping hoisted out of the inner loop. Observable behaviour —
-    /// step/retire counts, exits, trap causes, trace entries and every
-    /// digest sample, and the pc-pair / opcode-class coverage folds — is
-    /// bit-identical to the default trait implementation's documented
-    /// schedule (interior samples at step numbers divisible by
-    /// `digest_every`, skipping one that would coincide with the final
-    /// sample; a final sample always). Pcs without a valid block —
-    /// outside the program image, misaligned, or holding an undecodable
-    /// word — fall back to the exact per-step path for that step.
+    /// Walks the image straight-line from the op at pc, leaving the walk
+    /// when an op does not fall through to the next word or a
+    /// store-capable op stored into the image (the walk then resumes
+    /// from the re-decoded image at the architectural pc). Pcs outside
+    /// the image take one per-step fetch from memory. A [`BatchTally`]
+    /// keeps the books, so every observable — counts, exit, trap causes,
+    /// samples, coverage folds and trace entries — is bit-identical to
+    /// the default per-step trait implementation.
     pub(crate) fn run_batch_into(
         &mut self,
         max_steps: u64,
         digest_every: u64,
         out: &mut BatchOutcome,
     ) {
-        let mut steps = 0;
-        let mut retired = 0;
-        let mut trap_causes = 0u64;
-        let mut exit = RunExit::OutOfGas;
-        let mut pc_pairs = PC_PAIRS_SEED;
-        let mut classes = [0u32; OP_CLASS_BUCKETS];
-        out.samples.clear();
-        let samples = &mut out.samples;
-        // Countdown to the next interior sample — equivalent to the
-        // default impl's `steps % digest_every == 0` because `steps`
-        // only ever grows by one, but without a hardware division on
-        // every step. One definition (this macro), three sample points.
-        let mut until_sample = digest_every;
-        macro_rules! sample_point {
-            () => {
-                if digest_every != 0 {
-                    until_sample -= 1;
-                    if until_sample == 0 {
-                        until_sample = digest_every;
-                        if steps < max_steps {
-                            samples.push(fold_sample(self.digest(), self.write_history(), retired));
-                        }
-                    }
-                }
-            };
-        }
-        // Lend the block table out of `self` for the duration of the
-        // run: the ops slice returned by `block_at` then borrows the
-        // local table while the handlers borrow the hart disjointly, so
-        // the walk is a plain slice iteration — no per-op bounds checks,
-        // no `Arc` refcount traffic, no micro-op copies. Nothing on the
-        // handler or fallback path reads `self.blocks`.
-        let mut blocks = std::mem::take(&mut self.blocks);
-        'outer: while steps < max_steps {
+        let mut tally = BatchTally::new(max_steps, digest_every, out);
+        // Lend the image out of `self` for the run, so the walk is a
+        // plain slice iteration while the handlers borrow the hart.
+        // Nothing on the handler or memory-fetch path reads `self.image`.
+        let mut image = std::mem::take(&mut self.image);
+        while tally.running() {
+            sync_image(&mut self.mem, &mut image);
             let pc = self.state.pc();
-            let Some(ops) = self.block_at(&mut blocks, pc) else {
-                // Exact per-step fallback for this one step: traps on
-                // misalignment/fetch faults/illegal words are raised by
-                // `step` itself, identically to the default impl.
-                let outcome = self.step();
-                steps += 1;
-                pc_pairs = fold_pc_pair(pc_pairs, pc, self.state.pc());
-                match outcome {
-                    StepOutcome::Retired(insn) => {
-                        retired += 1;
-                        classes[op_class(&insn)] += 1;
-                    }
-                    StepOutcome::Trapped(trap) => {
-                        trap_causes |= 1 << (trap.cause().code() & 63);
-                        match trap {
-                            Trap::Breakpoint { .. } => {
-                                exit = RunExit::Breakpoint { steps };
-                                break 'outer;
-                            }
-                            Trap::EnvironmentCall => {
-                                exit = RunExit::EnvironmentCall { steps };
-                                break 'outer;
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                sample_point!();
+            let Some(ops) = self.ops_at(&image, pc) else {
+                let outcome = self.step_from_memory(pc);
+                tally.record(&*self, pc, outcome);
                 continue;
             };
-            let block_gen = self.mem.code_generation();
             for op in ops {
-                self.state.bump_cycle();
-                match (op.handler)(self, op) {
-                    Ok(()) => {
-                        self.state.bump_instret();
-                        retired += 1;
-                        steps += 1;
-                        pc_pairs = fold_pc_pair(pc_pairs, op.pc, self.state.pc());
-                        // The major-opcode field of the fetched word is
-                        // what `op_class` computes by re-encoding.
-                        classes[((op.word >> 2) & 0x1F) as usize] += 1;
-                        if self.trace.is_some() {
-                            self.trace_retired(op);
-                        }
-                    }
-                    Err(trap) => {
-                        let handler = self.state.csrs_mut().enter_trap(
-                            op.pc,
-                            trap.cause().code(),
-                            trap.tval(),
-                        );
-                        self.state.set_pc(handler);
-                        steps += 1;
-                        pc_pairs = fold_pc_pair(pc_pairs, op.pc, handler);
-                        trap_causes |= 1 << (trap.cause().code() & 63);
-                        if self.trace.is_some() {
-                            self.trace_trapped(op, trap);
-                        }
-                        match trap {
-                            Trap::Breakpoint { .. } => {
-                                exit = RunExit::Breakpoint { steps };
-                                break 'outer;
-                            }
-                            Trap::EnvironmentCall => {
-                                exit = RunExit::EnvironmentCall { steps };
-                                break 'outer;
-                            }
-                            _ => {}
-                        }
-                        // A non-exit trap vectored pc to mtvec: the rest
-                        // of this block is not what executes next.
-                        sample_point!();
-                        if steps == max_steps {
-                            break 'outer;
-                        }
-                        continue 'outer;
-                    }
-                }
-                sample_point!();
-                if steps == max_steps {
-                    break 'outer;
-                }
-                if op.stores && self.mem.code_generation() != block_gen {
-                    // The store may have hit the code range (in-block
-                    // self-modification): re-resolve at the
-                    // architectural pc instead of walking stale ops.
-                    continue 'outer;
+                let outcome = self.execute(op);
+                tally.record(&*self, op.pc, outcome);
+                if !tally.running()
+                    || self.state.pc() != op.pc.wrapping_add(4)
+                    || (op.stores && self.mem.code_stored())
+                {
+                    break;
                 }
             }
         }
-        self.blocks = blocks;
-        out.samples
-            .push(fold_sample(self.digest(), self.write_history(), retired));
-        out.steps = steps;
-        out.exit = exit;
-        out.trap_causes = trap_causes;
-        out.pc_pairs = pc_pairs;
-        out.op_classes = fold_op_classes(&classes);
+        self.image = image;
+        tally.finish(&*self);
     }
 
     // ---- register helpers ----------------------------------------------
@@ -1028,21 +798,18 @@ impl Hart {
         self.set_x(insn.rd(), old);
         Ok(())
     }
+}
 
-    // ---- the interpreter -----------------------------------------------
-
-    /// Execute one decoded instruction by dispatching through the same
-    /// handler table the block engine uses, so the per-step path and the
-    /// batched path share one implementation of every opcode.
-    fn exec(&mut self, insn: Instruction, pc: u64, word: u32) -> Result<(), Trap> {
-        let op = MicroOp {
-            insn,
-            pc,
-            word,
-            handler: handler_for(insn.opcode()),
-            stores: false, // unused on the per-step path
-        };
-        (op.handler)(self, &op)
+/// Re-decode every image word stored to since the last sync. Only a
+/// memory assigned from another hart can queue a word past the image.
+#[inline]
+fn sync_image(mem: &mut Memory, image: &mut [MicroOp]) {
+    if mem.code_stored() {
+        mem.drain_code_stores(|index, pc, word| {
+            if let Some(op) = image.get_mut(index) {
+                *op = MicroOp::decode(pc, word);
+            }
+        });
     }
 }
 

@@ -25,7 +25,8 @@
 //!   implements it as the golden reference; [`MutantHart`] implements it
 //!   with an injected [`BugScenario`] (e.g. B2, reserved-rounding-mode
 //!   acceptance) for end-to-end fuzzer validation; external simulators
-//!   plug in behind the same trait.
+//!   plug in behind the same trait. [`BatchTally`] keeps the books of
+//!   every batched run, so all backends fold their outcomes alike.
 //! * [`digest::Fnv`] — the stable FNV-1a hasher every fingerprint in the
 //!   workspace is built from.
 //!
@@ -66,8 +67,7 @@ mod trace;
 mod trap;
 
 pub use dut::{
-    fold_op_classes, fold_pc_pair, fold_sample, op_class, BatchOutcome, Dut, DutFailure,
-    DutFailureKind, RemoteDutStats, OP_CLASS_BUCKETS, PC_PAIRS_SEED,
+    fold_sample, BatchOutcome, BatchTally, Dut, DutFailure, DutFailureKind, RemoteDutStats,
 };
 pub use hart::{Hart, RunExit};
 pub use mem::{Memory, PAGE_SIZE};

@@ -48,15 +48,12 @@ pub struct Memory {
     // Cumulative fold of every store since construction (see
     // [`Memory::write_history`]); bookkeeping, not state.
     history: DeferredFold,
-    // Watched code range and its generation counters: every store
-    // overlapping `code_watch` bumps `code_gen` and stamps the new value
-    // on each overlapped 4-byte word in `code_word_gens`, so the hart's
-    // predecoded-block cache validates an untouched block with one
-    // integer compare and a touched-generation block with an L1 slice
-    // scan — never by re-reading instruction words.
+    // The watched code range (the hart's predecoded program image) and
+    // the index of every watched 4-byte word stored to since the hart
+    // last drained them: the hart re-decodes exactly those words before
+    // its next fetch, so syncing costs per store, not per image word.
     code_watch: (u64, u64),
-    code_gen: u64,
-    code_word_gens: Vec<u64>,
+    code_stores: Vec<usize>,
 }
 
 impl Memory {
@@ -69,56 +66,45 @@ impl Memory {
             cache: RefCell::new(DigestCache::default()),
             history: DeferredFold::new(),
             code_watch: (0, 0),
-            code_gen: 0,
-            code_word_gens: Vec::new(),
+            code_stores: Vec::new(),
         }
     }
 
-    /// Watch `start..end` as the code range: any store overlapping it
-    /// bumps the generation counter returned by
-    /// [`Memory::code_generation`] and stamps the overlapped 4-byte
-    /// words (see [`Memory::code_range_unchanged`]). A single range is
-    /// enough because the hart only predecodes blocks inside the loaded
-    /// program image.
-    pub fn set_code_watch(&mut self, start: u64, end: u64) {
+    /// Watch `start..end` as the code range: from now on every store
+    /// overlapping it queues the index of each watched 4-byte word it
+    /// touches, until [`Memory::drain_code_stores`] hands them out.
+    /// Moving the watch drops the queue.
+    pub(crate) fn set_code_watch(&mut self, start: u64, end: u64) {
         self.code_watch = (start, end);
-        self.code_gen = self.code_gen.wrapping_add(1);
-        let words = usize::try_from(end.saturating_sub(start).div_ceil(4)).unwrap_or(0);
-        self.code_word_gens.clear();
-        self.code_word_gens.resize(words, self.code_gen);
+        self.code_stores.clear();
     }
 
-    /// Generation counter of the watched code range; changes (only) when
-    /// a store may have modified watched bytes or the watch itself moved.
-    /// Equal generations guarantee the watched bytes are unchanged; a
-    /// changed generation says nothing more than "re-validate".
-    #[must_use]
-    pub fn code_generation(&self) -> u64 {
-        self.code_gen
+    /// The index of the watched word starting at `addr`: `Some` only
+    /// when `addr` lies in the watched range on one of its word
+    /// boundaries.
+    pub(crate) fn code_index(&self, addr: u64) -> Option<usize> {
+        let offset = addr.checked_sub(self.code_watch.0)?;
+        if addr >= self.code_watch.1 || offset % 4 != 0 {
+            return None;
+        }
+        usize::try_from(offset / 4).ok()
     }
 
-    /// True when none of the `words` 4-byte code words starting at
-    /// `addr` have been stored to since generation `since` — the cheap
-    /// per-block re-validation behind [`Memory::code_generation`]: a
-    /// store elsewhere in the watched range moves the global generation
-    /// but leaves these word stamps behind, proving this block's bytes
-    /// are intact without re-reading them. Returns `false` for any
-    /// address outside the watched range.
-    #[must_use]
-    pub fn code_range_unchanged(&self, addr: u64, words: usize, since: u64) -> bool {
-        let Some(start) = addr.checked_sub(self.code_watch.0) else {
-            return false;
-        };
-        let Ok(start) = usize::try_from(start / 4) else {
-            return false;
-        };
-        let Some(end) = start.checked_add(words) else {
-            return false;
-        };
-        let Some(stamps) = self.code_word_gens.get(start..end) else {
-            return false;
-        };
-        stamps.iter().all(|&stamp| stamp <= since)
+    /// Whether a watched word was stored to since the last drain.
+    pub(crate) fn code_stored(&self) -> bool {
+        !self.code_stores.is_empty()
+    }
+
+    /// Hand `redecode` the index, address and current value of every
+    /// watched word stored to since the last drain, then forget them.
+    pub(crate) fn drain_code_stores(&mut self, mut redecode: impl FnMut(usize, u64, u32)) {
+        for &index in &self.code_stores {
+            let addr = self.code_watch.0 + 4 * index as u64;
+            if let Some(word) = self.load_u32(addr) {
+                redecode(index, addr, word);
+            }
+        }
+        self.code_stores.clear();
     }
 
     /// The configured size in bytes.
@@ -186,18 +172,11 @@ impl Memory {
             word[..chunk.len()].copy_from_slice(chunk);
             self.history.write_u64(u64::from_le_bytes(word));
         }
-        if addr < self.code_watch.1 && addr + N as u64 > self.code_watch.0 {
-            self.code_gen = self.code_gen.wrapping_add(1);
-            let first = (addr.max(self.code_watch.0) - self.code_watch.0) / 4;
-            let last = (addr + N as u64 - 1).min(self.code_watch.1 - 1) - self.code_watch.0;
-            for word in first..=last / 4 {
-                if let Some(stamp) = self
-                    .code_word_gens
-                    .get_mut(usize::try_from(word).unwrap_or(usize::MAX))
-                {
-                    *stamp = self.code_gen;
-                }
-            }
+        let (start, end) = self.code_watch;
+        if addr < end && addr + N as u64 > start {
+            let first = (addr.max(start) - start) / 4;
+            let last = ((addr + N as u64 - 1).min(end - 1) - start) / 4;
+            self.code_stores.extend(first as usize..=last as usize);
         }
         self.mark_dirty(addr, N as u64);
         let offset = (addr % PAGE_SIZE) as usize;
@@ -404,26 +383,36 @@ mod tests {
     }
 
     #[test]
-    fn code_generation_tracks_only_watched_stores() {
+    fn code_watch_queues_exactly_the_stored_words() {
         let mut mem = Memory::new(1 << 20);
-        let g0 = mem.code_generation();
+        let drain = |mem: &mut Memory| {
+            let mut stored = Vec::new();
+            mem.drain_code_stores(|index, addr, word| stored.push((index, addr, word)));
+            stored
+        };
         mem.store_u64(0x100, 1).unwrap();
-        assert_eq!(mem.code_generation(), g0, "no watch: stores never bump");
+        assert!(!mem.code_stored(), "no watch: stores never queue");
         mem.set_code_watch(0x40, 0x80);
-        let g1 = mem.code_generation();
-        assert_ne!(g1, g0, "moving the watch itself must invalidate");
         mem.store_u64(0x100, 2).unwrap();
         mem.store_u8(0x3F, 7).unwrap();
         mem.store_u8(0x80, 7).unwrap();
-        assert_eq!(mem.code_generation(), g1, "stores outside the watch");
-        mem.store_u8(0x40, 7).unwrap();
-        let g2 = mem.code_generation();
-        assert_ne!(g2, g1, "store inside the watch bumps");
-        mem.store_u64(0x3C, 0).unwrap();
-        assert_ne!(mem.code_generation(), g2, "straddling store bumps");
-        let g3 = mem.code_generation();
+        assert!(!mem.code_stored(), "stores outside the watch");
+        mem.store_u8(0x45, 7).unwrap();
+        assert_eq!(drain(&mut mem), [(1, 0x44, 0x0700)]);
+        assert!(!mem.code_stored(), "a drain forgets what it handed out");
+        mem.store_u64(0x3C, u64::MAX).unwrap();
+        assert_eq!(drain(&mut mem), [(0, 0x40, u32::MAX)], "straddling store");
+        mem.store_u64(0x78, 0).unwrap();
+        assert_eq!(drain(&mut mem), [(14, 0x78, 0), (15, 0x7C, 0)]);
         assert_eq!(mem.store_u32((1 << 20) - 2, 1), None);
-        assert_eq!(mem.code_generation(), g3, "rejected store cannot bump");
+        assert!(!mem.code_stored(), "rejected store cannot queue");
+        mem.store_u8(0x50, 1).unwrap();
+        mem.set_code_watch(0x40, 0x80);
+        assert!(!mem.code_stored(), "moving the watch drops the queue");
+        assert_eq!(mem.code_index(0x44), Some(1));
+        assert_eq!(mem.code_index(0x46), None, "not a word boundary");
+        assert_eq!(mem.code_index(0x3C), None, "below the watch");
+        assert_eq!(mem.code_index(0x80), None, "past the watch");
     }
 
     #[test]

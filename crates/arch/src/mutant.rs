@@ -11,7 +11,7 @@
 //!
 //! Mutants implement only [`Dut::step`] and therefore inherit the
 //! default per-step [`Dut::run`] schedule — they deliberately do *not*
-//! take the golden hart's native block engine, because every bug hook
+//! take the golden hart's native image walk, because every bug hook
 //! wraps an individual `step` and must observe every instruction. The
 //! `run_native` integration test pins this: wrapping a mutant so it
 //! cannot be batch-run changes nothing, bit for bit.

@@ -254,3 +254,118 @@ fn loop_back_into_modified_code_rebuilds_the_block() {
     Dut::run(&mut hart, 100, 0);
     assert_eq!(hart.state().x(x(4)), 11, "second pass must see the patch");
 }
+
+/// A program that copies words from a data page over its own text: a
+/// library sample in most slots, and every third slot a `lw` of a data
+/// word followed by an `sw` of it to a random text word. The data page
+/// holds encodings of library samples and raw random words, most of
+/// which do not decode.
+fn self_patching_program(seed: u64) -> (Vec<Instruction>, Vec<u32>) {
+    const TEXT: usize = 40;
+    const DATA: i64 = 0x400;
+    let mut library = InstructionLibrary::new(LibraryConfig::all(), 0xC0DE ^ seed);
+    let mut state = seed;
+    let mut next = move || {
+        // splitmix64
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let data: Vec<u32> = (0..64)
+        .map(|i| {
+            if i % 2 == 0 {
+                word_of(library.sample().expect("full library"))
+            } else {
+                next() as u32
+            }
+        })
+        .collect();
+    let mut program = Vec::with_capacity(TEXT + 1);
+    while program.len() < TEXT {
+        if program.len() % 3 == 0 {
+            let from = DATA + 4 * (next() % data.len() as u64) as i64;
+            let to = 4 * (next() % (TEXT as u64 + 1)) as i64;
+            program.push(Instruction::i_type(Opcode::Lw, x(5), Gpr::ZERO, from).unwrap());
+            program.push(Instruction::s_type(Opcode::Sw, Gpr::ZERO, x(5), to).unwrap());
+        } else {
+            program.push(library.sample().expect("full library"));
+        }
+    }
+    program.push(Instruction::system(Opcode::Ebreak));
+    (program, data)
+}
+
+#[test]
+fn every_step_executes_the_word_memory_holds_at_pc() {
+    // An oracle that shares nothing with the hart's predecoded image:
+    // before each step, read the word memory holds at pc. The trace
+    // entry must carry exactly that word, and a retired step must have
+    // executed its decode — however often the program rewrote itself.
+    let seeds: u64 = if cfg!(debug_assertions) { 60 } else { 250 };
+    let mut patched_steps = 0;
+    for seed in 0..seeds {
+        let (program, data) = self_patching_program(seed);
+        let make = || {
+            let mut hart = Hart::new(MEM);
+            hart.load_program(0, &program).unwrap();
+            for (i, &word) in data.iter().enumerate() {
+                hart.mem_mut()
+                    .store_u32(0x400 + 4 * i as u64, word)
+                    .unwrap();
+            }
+            hart
+        };
+        let mut hart = make();
+        hart.enable_tracing();
+        let mut fetched = Vec::new();
+        for step in 0..300 {
+            let pc = hart.state().pc();
+            let word = if pc % 4 == 0 {
+                hart.mem().load_u32(pc)
+            } else {
+                None
+            };
+            let loaded = usize::try_from(pc / 4)
+                .ok()
+                .and_then(|i| program.get(i))
+                .map(|&insn| word_of(insn));
+            if pc % 4 == 0 && loaded.is_some() && word != loaded {
+                patched_steps += 1;
+            }
+            let ctx = format!("seed {seed}, step {step}, pc {pc:#x}");
+            match (word.map(Instruction::decode), hart.step()) {
+                (Some(Ok(insn)), StepOutcome::Retired(retired)) => {
+                    assert_eq!(retired, insn, "retired a stale decode: {ctx}");
+                }
+                (Some(Ok(_)), StepOutcome::Trapped(_)) => {}
+                (Some(Err(_)), StepOutcome::Trapped(Trap::IllegalInstruction { word: raised })) => {
+                    assert_eq!(Some(raised), word, "illegal word: {ctx}");
+                }
+                (None, StepOutcome::Trapped(Trap::InstructionMisaligned { addr }))
+                | (None, StepOutcome::Trapped(Trap::InstructionFault { addr })) => {
+                    assert_eq!(addr, pc, "fetch fault address: {ctx}");
+                }
+                (expected, outcome) => panic!("{outcome:?} for fetched {expected:?}: {ctx}"),
+            }
+            fetched.push((pc, word));
+        }
+        let trace = hart.take_trace().expect("tracing was enabled");
+        assert_eq!(trace.len(), fetched.len(), "seed {seed}");
+        for (step, (entry, &(pc, word))) in trace.entries().iter().zip(&fetched).enumerate() {
+            assert_eq!(
+                (entry.pc, entry.word),
+                (pc, word),
+                "seed {seed}, step {step}"
+            );
+        }
+        // The batch walk over the same self-patching runs.
+        let window = WINDOWS[(seed % 4) as usize];
+        assert_run_identical(&make, 300, window, &format!("self-patching seed {seed}"));
+    }
+    assert!(
+        patched_steps > seeds,
+        "only {patched_steps} steps ran a patched word"
+    );
+}

@@ -276,15 +276,6 @@ impl Corpus {
         Some(pick)
     }
 
-    /// [`Corpus::mutate_into`] under the uniform schedule, returning the
-    /// mutant by value — the pre-scheduler convenience shape, same RNG
-    /// stream.
-    pub fn mutate(&mut self, generator: &mut ProgramGenerator) -> Option<Vec<Instruction>> {
-        let mut out = Vec::new();
-        self.mutate_into(generator, PowerSchedule::Uniform, &mut out)
-            .map(|_| out)
-    }
-
     /// Credit the seed at `parent` with an admitted child — its mutant
     /// earned a corpus slot, raising the seed's fecundity signal.
     pub fn record_child(&mut self, parent: usize) {
@@ -350,8 +341,11 @@ mod tests {
             SeedCalibration::default(),
         );
         let mut generator = generator();
+        let mut mutated = Vec::new();
         for _ in 0..64 {
-            let mutated = corpus.mutate(&mut generator).unwrap();
+            corpus
+                .mutate_into(&mut generator, PowerSchedule::Uniform, &mut mutated)
+                .unwrap();
             assert_eq!(mutated.last().unwrap().opcode(), Opcode::Ebreak);
             assert!(!mutated.is_empty());
         }
@@ -365,7 +359,10 @@ mod tests {
     #[test]
     fn mutate_on_empty_corpus_is_none() {
         let mut corpus = Corpus::new(1);
-        assert!(corpus.mutate(&mut generator()).is_none());
+        let mut out = Vec::new();
+        assert!(corpus
+            .mutate_into(&mut generator(), PowerSchedule::Uniform, &mut out)
+            .is_none());
         assert!(corpus.select(PowerSchedule::Fast).is_none());
         assert!(corpus.is_empty());
         assert_eq!(corpus.len(), 0);
@@ -377,9 +374,13 @@ mod tests {
         let mut corpus = Corpus::new(2);
         corpus.add(&seed_program, 0x22, 0, SeedCalibration::default());
         let mut generator = generator();
-        let changed = (0..32)
-            .filter_map(|_| corpus.mutate(&mut generator))
-            .any(|m| m != seed_program);
+        let mut mutant = Vec::new();
+        let changed = (0..32).any(|_| {
+            corpus
+                .mutate_into(&mut generator, PowerSchedule::Uniform, &mut mutant)
+                .is_some()
+                && mutant != seed_program
+        });
         assert!(changed, "32 mutations never changed the program");
     }
 

@@ -15,9 +15,9 @@
 //!
 //! Two further cheap keys feed the scheduler's yield signal (they do not
 //! gate corpus admission): the [`pc-transition-pair
-//! fold`](tf_arch::fold_pc_pair) — a digest of the run's control-flow
-//! edge sequence — and the [`opcode-class
-//! histogram fold`](tf_arch::fold_op_classes) — a digest of how many
+//! fold`](tf_arch::BatchOutcome::pc_pairs) — a digest of the run's
+//! control-flow edge sequence — and the [`opcode-class histogram
+//! fold`](tf_arch::BatchOutcome::op_classes) — a digest of how many
 //! instructions of each major-opcode class retired. Both come free out
 //! of [`BatchOutcome`](tf_arch::BatchOutcome), so observing them costs
 //! the hot loop nothing; a seed that lights up a new pc-pair or

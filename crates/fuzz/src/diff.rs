@@ -17,12 +17,13 @@
 //! the paper's bug-scenario localisation: not just *that* the device
 //! differs, but the exact instruction where it went wrong.
 //!
-//! The reference's [`Dut::run`] is the hart's native predecoded-block
-//! engine (see `tf_arch::Hart`), which is proven bit-identical to the
-//! default per-step trait body — so the windowed fast path, the exact
-//! replay and the `window == 1` loop all agree on every sample, every
-//! verdict and every replayed trace regardless of which engine produced
-//! them.
+//! The reference's [`Dut::run`] is the hart's native walk over its
+//! predecoded program image (see `tf_arch::Hart`), which is proven
+//! bit-identical to the default per-step trait body, and every run —
+//! batched or the exact loop — keeps its books through one
+//! [`BatchTally`] — so the windowed fast path, the exact replay and the
+//! `window == 1` loop all agree on every sample, every verdict and every
+//! replayed trace regardless of which engine produced them.
 //!
 //! Windowed detection loses no sensitivity: each sample folds not just
 //! the state digest but the device's cumulative *write history*
@@ -36,10 +37,7 @@
 //! mismatches and replays, degrading to `window = 1` throughput.
 
 use tf_arch::digest::Fnv;
-use tf_arch::{
-    fold_op_classes, fold_pc_pair, op_class, BatchOutcome, Dut, RunExit, StepOutcome, TraceEntry,
-    Trap, OP_CLASS_BUCKETS, PC_PAIRS_SEED,
-};
+use tf_arch::{BatchOutcome, BatchTally, Dut, RunExit, StepOutcome, TraceEntry, Trap};
 use tf_riscv::Instruction;
 
 /// Default comparison window: digests are sampled and compared every
@@ -142,13 +140,13 @@ pub enum DiffVerdict {
         /// raised during the run (bit `c` set iff a trap with
         /// `mcause == c` occurred) — the coarse secondary coverage key.
         trap_causes: u64,
-        /// [`fold_pc_pair`] fold of the reference's control-flow edge
-        /// sequence — the cheap path-shape key feeding the scheduler's
-        /// yield signal.
+        /// The reference's [`BatchOutcome::pc_pairs`] fold of its
+        /// control-flow edge sequence — the cheap path-shape key feeding
+        /// the scheduler's yield signal.
         pc_pairs: u64,
-        /// [`fold_op_classes`] fold of the reference's retired
-        /// opcode-class histogram — the cheap instruction-mix key
-        /// feeding the scheduler's yield signal.
+        /// The reference's [`BatchOutcome::op_classes`] fold of its
+        /// retired opcode-class histogram — the cheap instruction-mix
+        /// key feeding the scheduler's yield signal.
         op_classes: u64,
     },
     /// The DUT diverged from the reference.
@@ -330,148 +328,66 @@ impl DiffEngine {
                 &mut scratch.reference,
             );
             dut.run_into(self.config.max_steps, self.config.window, &mut scratch.dut);
-            if let Some(verdict) =
-                self.agree_on_batches(reference, &scratch.reference, &scratch.dut)
-            {
-                return Ok(verdict);
+            if scratch.reference == scratch.dut {
+                return Ok(Self::agree(reference, &scratch.reference));
             }
             // Some window disagreed: replay from reset, step by step, to
             // bisect it down to the exact diverging step.
+            reference.take_trace();
             reference.reset();
             dut.reset();
             reference.load(self.config.base, program)?;
             dut.load(self.config.base, program)?;
         }
-        Ok(self.diff_exact(reference, dut))
-    }
-
-    /// The windowed agreement check: equal batches become the verdict
-    /// the exact loop would have produced, a mismatch becomes `None`.
-    fn agree_on_batches(
-        &self,
-        reference: &mut dyn Dut,
-        ref_batch: &BatchOutcome,
-        dut_batch: &BatchOutcome,
-    ) -> Option<DiffVerdict> {
-        if ref_batch != dut_batch {
-            reference.take_trace();
-            return None;
-        }
-        let trace_digest = reference.take_trace().map_or(0, |t| t.digest());
-        Some(DiffVerdict::Agree {
-            steps: ref_batch.steps,
-            exit: ref_batch.exit,
-            trace_digest,
-            trap_causes: ref_batch.trap_causes,
-            pc_pairs: ref_batch.pc_pairs,
-            op_classes: ref_batch.op_classes,
-        })
+        Ok(self.diff_exact(reference, dut, &mut scratch.reference))
     }
 
     /// The exhaustive per-step loop: compare outcome and digest after
     /// every single step. Callers have already reset and loaded both
-    /// sides.
-    fn diff_exact(&self, reference: &mut dyn Dut, dut: &mut dyn Dut) -> DiffVerdict {
-        reference.enable_tracing();
-        dut.enable_tracing();
-
-        let mut verdict = None;
-        let mut steps = 0;
-        let mut trap_causes = 0u64;
-        // The yield-signal folds are computed reference-side with the
-        // exact scheme the default `Dut::run_into` uses, so windowed and
-        // exact verdicts carry bit-identical folds.
-        let mut pc_pairs = PC_PAIRS_SEED;
-        let mut classes = [0u32; OP_CLASS_BUCKETS];
-        while steps < self.config.max_steps {
-            let from = reference.pc();
-            let ref_outcome = reference.step();
-            let dut_outcome = dut.step();
-            steps += 1;
-            pc_pairs = fold_pc_pair(pc_pairs, from, reference.pc());
-            if let StepOutcome::Retired(insn) = ref_outcome {
-                classes[op_class(&insn)] += 1;
-            }
-            let (ref_digest, dut_digest) = (reference.digest(), dut.digest());
-            if ref_outcome != dut_outcome || ref_digest != dut_digest {
-                verdict = Some((steps, ref_digest, dut_digest));
-                break;
-            }
-            if let StepOutcome::Trapped(trap) = ref_outcome {
-                trap_causes |= 1 << (trap.cause().code() & 63);
-            }
-            match ref_outcome {
-                StepOutcome::Trapped(Trap::Breakpoint { .. }) => {
-                    return self.agree(
-                        reference,
-                        dut,
-                        RunExit::Breakpoint { steps },
-                        steps,
-                        trap_causes,
-                        pc_pairs,
-                        &classes,
-                    );
-                }
-                StepOutcome::Trapped(Trap::EnvironmentCall) => {
-                    return self.agree(
-                        reference,
-                        dut,
-                        RunExit::EnvironmentCall { steps },
-                        steps,
-                        trap_causes,
-                        pc_pairs,
-                        &classes,
-                    );
-                }
-                _ => {}
-            }
-        }
-        match verdict {
-            None => self.agree(
-                reference,
-                dut,
-                RunExit::OutOfGas,
-                steps,
-                trap_causes,
-                pc_pairs,
-                &classes,
-            ),
-            Some((step, reference_digest, dut_digest)) => {
-                let ref_entry = reference
-                    .take_trace()
-                    .and_then(|t| t.entries().last().copied());
-                let dut_entry = dut.take_trace().and_then(|t| t.entries().last().copied());
-                DiffVerdict::Diverged(Divergence {
-                    step,
-                    reference: ref_entry,
-                    dut: dut_entry,
-                    reference_digest,
-                    dut_digest,
-                })
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn agree(
+    /// sides. The reference side's books go through the same
+    /// [`BatchTally`] its batched runs use, into `out`, so windowed and
+    /// exact verdicts carry bit-identical folds.
+    fn diff_exact(
         &self,
         reference: &mut dyn Dut,
         dut: &mut dyn Dut,
-        exit: RunExit,
-        steps: u64,
-        trap_causes: u64,
-        pc_pairs: u64,
-        classes: &[u32; OP_CLASS_BUCKETS],
+        out: &mut BatchOutcome,
     ) -> DiffVerdict {
-        let trace_digest = reference.take_trace().map_or(0, |t| t.digest());
+        reference.enable_tracing();
+        dut.enable_tracing();
+        let mut tally = BatchTally::new(self.config.max_steps, 0, out);
+        while tally.running() {
+            let from = reference.pc();
+            let ref_outcome = reference.step();
+            let dut_outcome = dut.step();
+            tally.record(&*reference, from, ref_outcome);
+            let (reference_digest, dut_digest) = (reference.digest(), dut.digest());
+            if ref_outcome != dut_outcome || reference_digest != dut_digest {
+                let last = |side: &mut dyn Dut| side.take_trace()?.entries().last().copied();
+                return DiffVerdict::Diverged(Divergence {
+                    step: tally.steps(),
+                    reference: last(reference),
+                    dut: last(dut),
+                    reference_digest,
+                    dut_digest,
+                });
+            }
+        }
         dut.take_trace();
+        tally.finish(&*reference);
+        Self::agree(reference, out)
+    }
+
+    /// The agreement verdict of a run whose reference side produced
+    /// `batch`: the windowed and the exact path both end here.
+    fn agree(reference: &mut dyn Dut, batch: &BatchOutcome) -> DiffVerdict {
         DiffVerdict::Agree {
-            steps,
-            exit,
-            trace_digest,
-            trap_causes,
-            pc_pairs,
-            op_classes: fold_op_classes(classes),
+            steps: batch.steps,
+            exit: batch.exit,
+            trace_digest: reference.take_trace().map_or(0, |t| t.digest()),
+            trap_causes: batch.trap_causes,
+            pc_pairs: batch.pc_pairs,
+            op_classes: batch.op_classes,
         }
     }
 }
@@ -518,9 +434,11 @@ mod tests {
                 // The only trap was the terminating breakpoint (cause 3).
                 assert_eq!(trap_causes, 1 << 3);
                 // Three steps folded into the path key; two retirements
-                // into the instruction-mix key.
-                assert_ne!(pc_pairs, PC_PAIRS_SEED);
-                assert_ne!(op_classes, fold_op_classes(&[0; OP_CLASS_BUCKETS]));
+                // into the instruction-mix key. The default outcome holds
+                // both folds' empty-run values.
+                let empty = BatchOutcome::default();
+                assert_ne!(pc_pairs, empty.pc_pairs);
+                assert_ne!(op_classes, empty.op_classes);
             }
             DiffVerdict::Diverged(d) => panic!("unexpected divergence: {d}"),
         }

@@ -403,7 +403,8 @@ fn read_seed(payload: &[u8]) -> Option<SeedEntry> {
     }
     // Every legitimate writer emits `ebreak`-terminated programs (the
     // generator guarantees it, mutation and minimization preserve it, and
-    // `Corpus::mutate` relies on a non-empty body-plus-terminator shape).
+    // `Corpus::mutate_into` relies on a non-empty body-plus-terminator
+    // shape).
     // An empty or unterminated program is corruption, not a seed.
     if program.last().map(Instruction::opcode) != Some(tf_riscv::Opcode::Ebreak) {
         return None;

@@ -219,6 +219,7 @@ macro_rules! opcodes {
             }
 
             /// Fixed encoding fields.
+            #[inline(always)]
             #[must_use]
             pub fn encoding(self) -> Encoding {
                 match self {
