@@ -622,9 +622,9 @@ fn refresh_calibration(global: &mut Corpus, workers: &[WorkerStream]) {
                 .or_insert(entry.calibration);
         }
     }
-    for entry in global.entries_mut() {
-        if let Some(calibration) = live.get(&entry.coverage_key()) {
-            entry.calibration = *calibration;
+    for at in 0..global.len() {
+        if let Some(calibration) = live.get(&global.entries()[at].coverage_key()) {
+            global.set_calibration(at, *calibration);
         }
     }
 }

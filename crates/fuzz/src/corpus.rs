@@ -12,6 +12,16 @@
 //! to a near-minimal reproducer before it is reported — the classic
 //! corpus/stage decomposition of coverage-guided fuzzers.
 //!
+//! Selection stays cheap as the corpus grows: the first draw builds an
+//! energy index — a Fenwick (binary indexed) tree over every seed's
+//! energy under the draw's schedule — and from then on a draw, an
+//! admission and a calibration change each cost O(log n). A seed's
+//! energy moves on almost every draw (each mutation charges its
+//! parent), which is why the index is a tree updated in place rather
+//! than an alias table rebuilt in O(n) per change. The index lives in
+//! memory only; it is rebuilt when the schedule changes and never
+//! persisted.
+//!
 //! A corpus also outlives the process: [`Corpus::save`] writes the
 //! entries to the versioned on-disk format of the [`persist`] module
 //! (atomically — temp file plus rename) and [`Corpus::load`] reads them
@@ -79,6 +89,97 @@ pub struct Corpus {
     // linear instead of re-hashing the whole corpus each time.
     keys: std::collections::HashSet<(u64, u64)>,
     rng: SplitMix64,
+    // Built by the first `select`; from then on every admission and
+    // calibration write keeps it in step with `entries`.
+    index: Option<EnergyIndex>,
+}
+
+/// A Fenwick (binary indexed) tree over every seed's energy under one
+/// schedule. Node `i` (1-based, stored at `tree[i - 1]`) holds the
+/// energy sum of seeds `i - lowbit(i) .. i` (0-based, half-open), so a
+/// prefix sum, a point update and an append each touch O(log n) nodes.
+#[derive(Debug, Clone)]
+struct EnergyIndex {
+    schedule: PowerSchedule,
+    tree: Vec<u64>,
+}
+
+/// The lowest set bit of a Fenwick node: the length of its range.
+fn lowbit(node: usize) -> usize {
+    node & node.wrapping_neg()
+}
+
+impl EnergyIndex {
+    /// Index `entries` under `schedule` in O(n): every node starts as
+    /// its own seed's energy and adds its finished sum into its parent.
+    fn new(schedule: PowerSchedule, entries: &[SeedEntry]) -> Self {
+        let mut tree: Vec<u64> = entries
+            .iter()
+            .map(|entry| schedule.energy(&entry.calibration))
+            .collect();
+        for node in 1..=tree.len() {
+            let parent = node + lowbit(node);
+            if parent <= tree.len() {
+                tree[parent - 1] += tree[node - 1];
+            }
+        }
+        EnergyIndex { schedule, tree }
+    }
+
+    /// Index one more seed: its node's range ends with the new seed and
+    /// starts where the nodes below it, walked down from its left
+    /// neighbour, leave off.
+    fn push(&mut self, energy: u64) {
+        let node = self.tree.len() + 1;
+        let start = node - lowbit(node);
+        let mut sum = energy;
+        let mut child = node - 1;
+        while child > start {
+            sum += self.tree[child - 1];
+            child -= lowbit(child);
+        }
+        self.tree.push(sum);
+    }
+
+    /// Add `delta` to seed `at`'s energy. The delta is two's complement,
+    /// so a falling energy wraps every covering node back to its exact,
+    /// non-negative sum.
+    fn shift(&mut self, at: usize, delta: u64) {
+        let mut node = at + 1;
+        while node <= self.tree.len() {
+            self.tree[node - 1] = self.tree[node - 1].wrapping_add(delta);
+            node += lowbit(node);
+        }
+    }
+
+    /// The energy total of every seed.
+    fn total(&self) -> u64 {
+        let mut sum = 0;
+        let mut node = self.tree.len();
+        while node > 0 {
+            sum += self.tree[node - 1];
+            node -= lowbit(node);
+        }
+        sum
+    }
+
+    /// The smallest seed index whose energy prefix sum exceeds `draw`,
+    /// by one root-to-leaf descent: skip every whole node whose sum
+    /// still fits under the draw. For non-negative energies that is
+    /// exactly the seed a subtractive walk over the energies lands on.
+    fn find(&self, mut draw: u64) -> usize {
+        let mut seeds = 0;
+        let mut step = self.tree.len().checked_ilog2().map_or(0, |log| 1 << log);
+        while step > 0 {
+            let node = seeds + step;
+            if node <= self.tree.len() && self.tree[node - 1] <= draw {
+                draw -= self.tree[node - 1];
+                seeds = node;
+            }
+            step >>= 1;
+        }
+        seeds
+    }
 }
 
 impl Corpus {
@@ -89,6 +190,7 @@ impl Corpus {
             entries: Vec::new(),
             keys: std::collections::HashSet::new(),
             rng: SplitMix64::new(seed),
+            index: None,
         }
     }
 
@@ -103,7 +205,7 @@ impl Corpus {
         calibration: SeedCalibration,
     ) {
         self.keys.insert((trace_digest, trap_causes));
-        self.entries.push(SeedEntry {
+        self.push(SeedEntry {
             program: program.to_vec(),
             trace_digest,
             trap_causes,
@@ -122,11 +224,20 @@ impl Corpus {
         let mut admitted = 0;
         for entry in entries {
             if self.keys.insert(entry.coverage_key()) {
-                self.entries.push(entry.clone());
+                self.push(entry.clone());
                 admitted += 1;
             }
         }
         admitted
+    }
+
+    /// Append an admitted entry, indexing its energy when an index
+    /// exists.
+    fn push(&mut self, entry: SeedEntry) {
+        if let Some(index) = &mut self.index {
+            index.push(index.schedule.energy(&entry.calibration));
+        }
+        self.entries.push(entry);
     }
 
     /// The saved entries, oldest first.
@@ -135,11 +246,29 @@ impl Corpus {
         &self.entries
     }
 
-    /// Mutable access for the campaign coordinator, which folds the
-    /// owning workers' live calibration back into its admission-time
-    /// clones before the corpus leaves the coordinator.
-    pub(crate) fn entries_mut(&mut self) -> &mut [SeedEntry] {
-        &mut self.entries
+    /// Overwrite seed `at`'s calibration record — the write-back the
+    /// campaign coordinator uses to fold the owning workers' live
+    /// calibration into its admission-time clones before the corpus
+    /// leaves the coordinator.
+    pub(crate) fn set_calibration(&mut self, at: usize, calibration: SeedCalibration) {
+        self.calibrate(at, |record| *record = calibration);
+    }
+
+    /// The one write path for calibration records: apply `write` to seed
+    /// `at`'s record and, when the seed's energy under the index's
+    /// schedule changed, move the index by the difference.
+    fn calibrate(&mut self, at: usize, write: impl FnOnce(&mut SeedCalibration)) {
+        let record = &mut self.entries[at].calibration;
+        let Some(index) = &mut self.index else {
+            write(record);
+            return;
+        };
+        let before = index.schedule.energy(record);
+        write(record);
+        let after = index.schedule.energy(record);
+        if after != before {
+            index.shift(at, after.wrapping_sub(before));
+        }
     }
 
     /// Consume the corpus, yielding its entries without cloning the
@@ -176,6 +305,7 @@ impl Corpus {
             keys: loaded.entries.iter().map(SeedEntry::coverage_key).collect(),
             entries: loaded.entries,
             rng: SplitMix64::new(seed),
+            index: None,
         };
         Ok((corpus, loaded.report))
     }
@@ -206,39 +336,36 @@ impl Corpus {
 
     /// Draw a seed index by energy-weighted deterministic selection:
     /// each entry weighs [`PowerSchedule::energy`] of its calibration,
-    /// and a single RNG draw below the energy total picks the seed by
-    /// subtractive walk. Under [`PowerSchedule::Uniform`] every weight
-    /// is 1, the total is the corpus length, and the draw collapses to
-    /// exactly the historical uniform pick — same single draw from the
-    /// same stream, bit for bit.
+    /// a single RNG draw below the energy total picks a point on the
+    /// energy line, and the pick is the seed whose prefix sum first
+    /// exceeds it, found by one O(log n) descent of the energy index.
+    /// Under [`PowerSchedule::Uniform`] every weight is 1, the total is
+    /// the corpus length, and the pick is the draw itself: exactly the
+    /// historical uniform pick — same single draw from the same stream,
+    /// bit for bit.
+    ///
+    /// The first draw builds the index in O(n), as does the first draw
+    /// under a different schedule than the index was built for.
     ///
     /// Returns `None` when the corpus is empty.
     pub fn select(&mut self, schedule: PowerSchedule) -> Option<usize> {
         if self.entries.is_empty() {
             return None;
         }
-        let total: u64 = self
-            .entries
-            .iter()
-            .map(|entry| schedule.energy(&entry.calibration))
-            .sum();
-        let mut draw = self.rng.below(total);
-        for (index, entry) in self.entries.iter().enumerate() {
-            let energy = schedule.energy(&entry.calibration);
-            if draw < energy {
-                return Some(index);
-            }
-            draw -= energy;
-        }
-        unreachable!("draw is below the energy total");
+        let index = match &mut self.index {
+            Some(index) if index.schedule == schedule => index,
+            slot => slot.insert(EnergyIndex::new(schedule, &self.entries)),
+        };
+        Some(index.find(self.rng.below(index.total())))
     }
 
-    /// Pick a saved seed under `schedule` and derive a mutant from it
-    /// into `out`: one to three edits (replace an instruction with a
-    /// fresh library sample, insert one, or delete one), never touching
-    /// the trailing `ebreak`. The picked seed's
-    /// [`SeedCalibration::spent`] counter is charged, and its index is
-    /// returned so an admitted mutant can be credited back with
+    /// Pick a saved seed under `schedule` ([`Corpus::select`]) and derive
+    /// a mutant from it into `out`: one to three edits (replace an
+    /// instruction with a fresh library sample, insert one, or delete
+    /// one), never touching the trailing `ebreak`. The picked seed's
+    /// [`SeedCalibration::spent`] counter is charged — moving its energy
+    /// in the index in O(log n) — and its index is returned so an
+    /// admitted mutant can be credited back with
     /// [`Corpus::record_child`].
     ///
     /// Returns `None` when the corpus is empty or the generator's
@@ -250,7 +377,7 @@ impl Corpus {
         out: &mut Vec<Instruction>,
     ) -> Option<usize> {
         let pick = self.select(schedule)?;
-        self.entries[pick].calibration.spent += 1;
+        self.calibrate(pick, |record| record.spent += 1);
         out.clear();
         out.extend_from_slice(&self.entries[pick].program);
         let edits = 1 + self.rng.below(3);
@@ -279,7 +406,7 @@ impl Corpus {
     /// Credit the seed at `parent` with an admitted child — its mutant
     /// earned a corpus slot, raising the seed's fecundity signal.
     pub fn record_child(&mut self, parent: usize) {
-        self.entries[parent].calibration.children += 1;
+        self.calibrate(parent, |record| record.children += 1);
     }
 }
 
@@ -426,6 +553,155 @@ mod tests {
         corpus.record_child(0);
         corpus.record_child(0);
         assert_eq!(corpus.entries()[0].calibration.children, 2);
+    }
+
+    /// The oracle for `select`: a subtractive walk over every seed's
+    /// energy. It replays the corpus's RNG from the same position, so it
+    /// sees the very draw `select` is about to make. Returns the pick and
+    /// the stream position after that one draw.
+    fn linear_pick(corpus: &Corpus, schedule: PowerSchedule) -> (usize, u64) {
+        let energies = corpus
+            .entries()
+            .iter()
+            .map(|entry| schedule.energy(&entry.calibration));
+        let mut rng = SplitMix64::new(corpus.rng_state());
+        let mut draw = rng.below(energies.clone().sum());
+        for (index, energy) in energies.enumerate() {
+            if draw < energy {
+                return (index, rng.state());
+            }
+            draw -= energy;
+        }
+        unreachable!("draw is below the energy total");
+    }
+
+    /// `select`, checked against the oracle: the same pick from exactly
+    /// one draw, and under `Uniform` the bare `below(len)` draw itself.
+    fn checked_select(corpus: &mut Corpus, schedule: PowerSchedule) -> usize {
+        let (want, after) = linear_pick(corpus, schedule);
+        let bare = SplitMix64::new(corpus.rng_state()).below(corpus.len() as u64);
+        let pick = corpus.select(schedule).unwrap();
+        assert_eq!(pick, want, "{schedule} at {} seeds", corpus.len());
+        assert_eq!(corpus.rng_state(), after, "select makes one draw");
+        if schedule == PowerSchedule::Uniform {
+            assert_eq!(pick as u64, bare, "uniform picks the draw itself");
+        }
+        pick
+    }
+
+    /// Calibration records mixing arbitrary values with the corners that
+    /// put a seed's `fast` energy at 1 and at `MAX_ENERGY`.
+    fn calibration(rng: &mut SplitMix64) -> SeedCalibration {
+        match rng.below(4) {
+            0 => SeedCalibration {
+                cost: 1,
+                cov_yield: 4,
+                spent: 0,
+                children: 8,
+            },
+            1 => SeedCalibration {
+                cost: 1 << 40,
+                cov_yield: 0,
+                spent: 1 << 40,
+                children: 0,
+            },
+            _ => SeedCalibration {
+                cost: rng.below(1 << 12),
+                cov_yield: rng.below(5) as u8,
+                spent: rng.below(80),
+                children: rng.below(10),
+            },
+        }
+    }
+
+    fn fresh_entry(rng: &mut SplitMix64, key: &mut u64) -> SeedEntry {
+        *key += 1;
+        SeedEntry {
+            program: vec![addi(1, 1), addi(2, 2), ebreak()],
+            trace_digest: *key,
+            trap_causes: 0,
+            calibration: calibration(rng),
+        }
+    }
+
+    #[test]
+    fn every_draw_matches_the_linear_walk() {
+        use crate::schedule::MAX_ENERGY;
+
+        let mut generator = generator();
+        let mut out = Vec::new();
+        for (round, schedule) in PowerSchedule::ALL.into_iter().enumerate() {
+            let mut rng = SplitMix64::new(0xF3_4E1C + round as u64);
+            let mut key = 0;
+            let mut corpus = Corpus::new(round as u64);
+            // The first draw indexes 4,090 seeds in one pass; appends
+            // then carry the tree past 4,096 seeds (13 levels).
+            let seeds: Vec<SeedEntry> = (0..4_090)
+                .map(|_| fresh_entry(&mut rng, &mut key))
+                .collect();
+            assert_eq!(corpus.merge_entries(&seeds), seeds.len());
+            let mut current = schedule;
+            for _ in 0..3_000 {
+                let len = corpus.len() as u64;
+                match rng.below(16) {
+                    0 | 1 => {
+                        let entry = fresh_entry(&mut rng, &mut key);
+                        corpus.add(
+                            &entry.program,
+                            entry.trace_digest,
+                            entry.trap_causes,
+                            entry.calibration,
+                        );
+                    }
+                    2 | 3 => {
+                        // A known key (under a new calibration) and a
+                        // repeated fresh one: only two of four admitted.
+                        let mut known = corpus.entries()[rng.below(len) as usize].clone();
+                        known.calibration = calibration(&mut rng);
+                        let repeated = fresh_entry(&mut rng, &mut key);
+                        let batch = [
+                            known,
+                            repeated.clone(),
+                            repeated,
+                            fresh_entry(&mut rng, &mut key),
+                        ];
+                        assert_eq!(corpus.merge_entries(&batch), 2);
+                    }
+                    4 | 5 => {
+                        let (want, _) = linear_pick(&corpus, current);
+                        let spent = corpus.entries()[want].calibration.spent;
+                        let pick = corpus.mutate_into(&mut generator, current, &mut out);
+                        assert_eq!(pick, Some(want), "{current} mutate_into");
+                        assert_eq!(corpus.entries()[want].calibration.spent, spent + 1);
+                    }
+                    6 | 7 => corpus.record_child(rng.below(len) as usize),
+                    8 | 9 => {
+                        let record = calibration(&mut rng);
+                        corpus.set_calibration(rng.below(len) as usize, record);
+                    }
+                    10 => {
+                        let mut twin = corpus.clone();
+                        assert_eq!(
+                            checked_select(&mut twin, current),
+                            checked_select(&mut corpus, current)
+                        );
+                        corpus = twin;
+                    }
+                    11 => current = PowerSchedule::ALL[rng.below(3) as usize],
+                    _ => {
+                        checked_select(&mut corpus, current);
+                    }
+                }
+            }
+            checked_select(&mut corpus, schedule);
+            assert!(corpus.len() > 4_096, "{}", corpus.len());
+            let fast: Vec<u64> = corpus
+                .entries()
+                .iter()
+                .map(|entry| PowerSchedule::Fast.energy(&entry.calibration))
+                .collect();
+            assert!(fast.contains(&1) && fast.contains(&MAX_ENERGY));
+        }
     }
 
     #[test]
