@@ -1,4 +1,4 @@
-//! Throughput baseline for `Hart::step` / `Hart::run`.
+//! Throughput baseline for `Hart::step` / `Dut::run` on a `Hart`.
 //!
 //! Two workloads, matching the golden e2e suite:
 //!
@@ -23,7 +23,7 @@ mod json;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use tf_arch::Hart;
+use tf_arch::{Dut, Hart};
 use tf_riscv::{BranchOffset, Gpr, Instruction, InstructionLibrary, LibraryConfig, Opcode};
 
 const MEM_SIZE: u64 = 1 << 20;
@@ -72,7 +72,7 @@ fn bench(name: &str, program: &[Instruction], max_steps: u64, samples: usize) ->
         hart.reset();
         hart.load_program(0, program).expect("program fits");
         let start = Instant::now();
-        let exit = hart.run(max_steps);
+        let exit = hart.run(max_steps, 0).exit;
         let elapsed = start.elapsed();
         black_box(exit);
         black_box(hart.digest());
@@ -113,7 +113,7 @@ fn main() {
     } else {
         (200_000, 100_000)
     };
-    println!("tf_arch interpreter throughput (Hart::run over Hart::step)");
+    println!("tf_arch interpreter throughput (Dut::run over Hart::step)");
     let fib = bench("fib", &fib_program(5), fib_steps, samples);
     let chaos = bench("chaos", &chaos_program(4_096), chaos_steps, samples);
     json::update(

@@ -552,16 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn trait_and_inherent_run_agree() {
-        let program = [Instruction::nop(), Instruction::system(Opcode::Ecall)];
-        let mut a = Hart::new(1 << 16);
-        a.load_program(0, &program).unwrap();
-        let mut b = Hart::new(1 << 16);
-        b.load_program(0, &program).unwrap();
-        assert_eq!(a.run(10), Dut::run(&mut b, 10, 0).exit);
-    }
-
-    #[test]
     fn batch_samples_follow_the_documented_schedule() {
         let load = |hart: &mut Hart| {
             let mut program =

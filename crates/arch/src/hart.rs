@@ -6,7 +6,7 @@ use tf_riscv::csr::{self, CsrAddr};
 use tf_riscv::{Format, Fpr, Gpr, Instruction, Opcode, RoundingMode};
 
 use crate::digest::WideFnv;
-use crate::dut::{BatchOutcome, BatchTally, Dut};
+use crate::dut::{BatchOutcome, BatchTally};
 use crate::fpu::{self, dp, sp};
 use crate::mem::Memory;
 use crate::state::ArchState;
@@ -56,7 +56,7 @@ impl MicroOp {
     }
 }
 
-/// Why [`Hart::run`] returned.
+/// Why a run ([`Dut::run`](crate::Dut::run)) returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunExit {
     /// An `ebreak` trapped after `steps` executed steps — the conventional
@@ -235,11 +235,6 @@ impl Hart {
             Some(&[op, ..]) => self.execute(&op),
             _ => self.step_from_memory(pc),
         }
-    }
-
-    /// Step until an `ebreak`/`ecall` trap or until `max_steps` is spent.
-    pub fn run(&mut self, max_steps: u64) -> RunExit {
-        Dut::run(self, max_steps, 0).exit
     }
 
     /// The image ops from the one at `pc` to the end of the image, or
@@ -1524,6 +1519,7 @@ fn handler_for(opcode: Opcode) -> Handler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Dut;
     use tf_riscv::{BranchOffset, Gpr, Reg};
 
     fn x(i: u8) -> Gpr {
@@ -1616,12 +1612,12 @@ mod tests {
     fn ecall_and_ebreak_end_runs() {
         let program = [Instruction::nop(), Instruction::system(Opcode::Ebreak)];
         let mut hart = hart_with(&program);
-        assert_eq!(hart.run(10), RunExit::Breakpoint { steps: 2 });
+        assert_eq!(hart.run(10, 0).exit, RunExit::Breakpoint { steps: 2 });
         let program = [Instruction::system(Opcode::Ecall)];
         let mut hart = hart_with(&program);
-        assert_eq!(hart.run(10), RunExit::EnvironmentCall { steps: 1 });
+        assert_eq!(hart.run(10, 0).exit, RunExit::EnvironmentCall { steps: 1 });
         let mut hart = hart_with(&[Instruction::nop()]);
-        assert_eq!(hart.run(1), RunExit::OutOfGas);
+        assert_eq!(hart.run(1, 0).exit, RunExit::OutOfGas);
     }
 
     #[test]
@@ -1756,7 +1752,7 @@ mod tests {
     fn minstret_counts_only_retired() {
         let program = [Instruction::nop(), Instruction::system(Opcode::Ecall)];
         let mut hart = hart_with(&program);
-        hart.run(10);
+        hart.run(10, 0);
         assert_eq!(hart.state().csrs().read(csr::MINSTRET), Some(1));
         assert_eq!(hart.state().csrs().read(csr::MCYCLE), Some(2));
     }

@@ -38,7 +38,7 @@
 //! # Example
 //!
 //! ```
-//! use tf_arch::{Hart, RunExit};
+//! use tf_arch::{Dut, Hart, RunExit};
 //! use tf_riscv::{Gpr, Instruction, Opcode};
 //!
 //! let x1 = Gpr::new(1).unwrap();
@@ -49,7 +49,7 @@
 //! ];
 //! let mut hart = Hart::new(1 << 20);
 //! hart.load_program(0, &program).unwrap();
-//! assert_eq!(hart.run(100), RunExit::Breakpoint { steps: 3 });
+//! assert_eq!(hart.run(100, 0).exit, RunExit::Breakpoint { steps: 3 });
 //! assert_eq!(hart.state().x(x1), 42);
 //! ```
 

@@ -473,7 +473,7 @@ mod tests {
         reference.load_program(0, &program).unwrap();
         let mut mutant = MutantHart::new(1 << 16, BugScenario::B2ReservedRounding);
         mutant.load(0, &program).unwrap();
-        reference.run(10);
+        Dut::run(&mut reference, 10, 0);
         Dut::run(&mut mutant, 10, 0);
         assert_eq!(Dut::digest(&mutant), reference.digest());
     }
@@ -508,7 +508,7 @@ mod tests {
         reference.load_program(0, &program).unwrap();
         let mut mutant = MutantHart::new(1 << 16, BugScenario::OffByOneImmediate);
         mutant.load(0, &program).unwrap();
-        reference.run(10);
+        Dut::run(&mut reference, 10, 0);
         Dut::run(&mut mutant, 10, 0);
         // `add` is untouched and the x0-destination addi stays discarded.
         assert_eq!(Dut::digest(&mutant), reference.digest());
@@ -533,7 +533,7 @@ mod tests {
         let mut mutant = MutantHart::new(1 << 16, BugScenario::DroppedFflags);
         mutant.load(0, &program).unwrap();
         setup(&mut mutant.hart);
-        reference.run(10);
+        Dut::run(&mut reference, 10, 0);
         Dut::run(&mut mutant, 10, 0);
         assert_eq!(
             reference.state().csrs().read(csr::FFLAGS),
@@ -556,7 +556,7 @@ mod tests {
         reference.load_program(0, &program).unwrap();
         let mut mutant = MutantHart::new(1 << 16, BugScenario::CsrWriteMask);
         mutant.load(0, &program).unwrap();
-        reference.run(10);
+        Dut::run(&mut reference, 10, 0);
         Dut::run(&mut mutant, 10, 0);
         assert_eq!(reference.state().csrs().read(csr::FFLAGS), Some(0x1F));
         assert_eq!(
@@ -588,7 +588,7 @@ mod tests {
         let mut mutant = MutantHart::new(1 << 16, BugScenario::CsrWriteMask);
         mutant.load(0, &program).unwrap();
         setup(&mut mutant.hart);
-        reference.run(10);
+        Dut::run(&mut reference, 10, 0);
         Dut::run(&mut mutant, 10, 0);
         assert_eq!(reference.state().csrs().read(csr::FFLAGS), Some(0));
         assert_eq!(
@@ -620,7 +620,7 @@ mod tests {
         let mut mutant = MutantHart::new(1 << 16, BugScenario::CsrWriteMask);
         mutant.load(0, &program).unwrap();
         setup(&mut mutant.hart);
-        reference.run(10);
+        Dut::run(&mut reference, 10, 0);
         Dut::run(&mut mutant, 10, 0);
         assert_eq!(
             reference.state().csrs().read(csr::FFLAGS),
@@ -664,7 +664,7 @@ mod tests {
             4,
             "bit 3 of the offset is dropped"
         );
-        reference.run(10);
+        Dut::run(&mut reference, 10, 0);
         Dut::run(&mut mutant, 10, 0);
         assert_eq!(reference.state().x(x(1)), 0);
         assert_eq!(mutant.hart().state().x(x(1)), 7);
@@ -695,7 +695,7 @@ mod tests {
         reference.load_program(0, &program).unwrap();
         let mut mutant = MutantHart::new(1 << 16, BugScenario::BranchOffsetTruncation);
         mutant.load(0, &program).unwrap();
-        reference.run(10);
+        Dut::run(&mut reference, 10, 0);
         Dut::run(&mut mutant, 10, 0);
         assert_eq!(Dut::digest(&mutant), reference.digest());
         assert_eq!(Dut::write_history(&mutant), reference.write_history());
@@ -716,7 +716,7 @@ mod tests {
         let mut mutant = MutantHart::new(1 << 16, BugScenario::SignExtensionDroppedLoad);
         mutant.load(0, &program).unwrap();
         mutant.enable_tracing();
-        reference.run(10);
+        Dut::run(&mut reference, 10, 0);
         Dut::run(&mut mutant, 10, 0);
         assert_eq!(reference.state().x(x(2)), u64::MAX);
         assert_eq!(mutant.hart().state().x(x(2)), 0xFFFF_FFFF);
@@ -745,7 +745,7 @@ mod tests {
         reference.load_program(0, &program).unwrap();
         let mut mutant = MutantHart::new(1 << 16, BugScenario::SignExtensionDroppedLoad);
         mutant.load(0, &program).unwrap();
-        reference.run(10);
+        Dut::run(&mut reference, 10, 0);
         Dut::run(&mut mutant, 10, 0);
         assert_eq!(Dut::digest(&mutant), reference.digest());
         assert_eq!(Dut::write_history(&mutant), reference.write_history());
@@ -767,7 +767,7 @@ mod tests {
         reference.load_program(0, &program).unwrap();
         let mut mutant = MutantHart::new(1 << 16, BugScenario::SignExtensionDroppedLoad);
         mutant.load(0, &program).unwrap();
-        reference.run(10);
+        Dut::run(&mut reference, 10, 0);
         Dut::run(&mut mutant, 10, 0);
         assert_eq!(reference.state().x(x(3)), u64::MAX);
         assert_eq!(mutant.hart().state().x(x(3)), 0xFFFF_FFFF);

@@ -2,7 +2,7 @@
 //! constructors, executed on the reference `Hart`, asserting the exact
 //! final architectural state.
 
-use tf_arch::{Hart, RunExit};
+use tf_arch::{Dut, Hart, RunExit};
 use tf_riscv::{csr, BranchOffset, Fpr, Gpr, Instruction, JumpOffset, Opcode, Reg, RoundingMode};
 
 fn x(i: u8) -> Gpr {
@@ -43,7 +43,7 @@ fn fibonacci() {
     let mut hart = Hart::new(1 << 20);
     hart.load_program(0, &program).unwrap();
     // 3 setup + 10 iterations of 6 + the final taken branch + ebreak.
-    let exit = hart.run(1_000);
+    let exit = hart.run(1_000, 0).exit;
     assert_eq!(exit, RunExit::Breakpoint { steps: 65 });
     assert_eq!(hart.state().x(x(1)), 55, "fib(10)");
     assert_eq!(hart.state().x(x(2)), 89, "fib(11)");
@@ -56,7 +56,7 @@ fn fibonacci() {
     // same digest.
     let mut again = Hart::new(1 << 20);
     again.load_program(0, &program).unwrap();
-    again.run(1_000);
+    again.run(1_000, 0);
     assert_eq!(hart.digest(), again.digest());
 }
 
@@ -83,7 +83,7 @@ fn memcpy() {
         hart.mem_mut().store_u8(0x200 + i as u64, b).unwrap();
     }
     // 3 setup + 16 iterations of 7 + the final taken branch + ebreak.
-    assert_eq!(hart.run(10_000), RunExit::Breakpoint { steps: 117 });
+    assert_eq!(hart.run(10_000, 0).exit, RunExit::Breakpoint { steps: 117 });
     for (i, &b) in pattern.iter().enumerate() {
         assert_eq!(hart.mem().load_u8(0x300 + i as u64), Some(b), "byte {i}");
         assert_eq!(hart.mem().load_u8(0x200 + i as u64), Some(b), "src intact");
@@ -125,7 +125,7 @@ fn fp_sum() {
     ];
     let mut hart = Hart::new(1 << 20);
     hart.load_program(0, &program).unwrap();
-    assert_eq!(hart.run(1_000), RunExit::Breakpoint { steps: 30 });
+    assert_eq!(hart.run(1_000, 0).exit, RunExit::Breakpoint { steps: 30 });
     assert_eq!(hart.state().x(x(2)), 15, "1+2+3+4+5");
     assert_eq!(hart.state().f64(f(1)), 15.0);
     assert_eq!(
@@ -150,7 +150,7 @@ fn traced_run_is_reproducible() {
         let mut hart = Hart::new(1 << 16);
         hart.load_program(0, &program).unwrap();
         hart.enable_tracing();
-        hart.run(100);
+        hart.run(100, 0);
         hart.take_trace().unwrap()
     };
     let (a, b) = (run(), run());

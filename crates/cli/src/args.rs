@@ -57,7 +57,10 @@ FUZZ OPTIONS:
                       to the (raised) --steps budget — bit-identical to a
                       single uninterrupted run; requires the same
                       seed/len/flags and the same --jobs count as the
-                      checkpointed run
+                      checkpointed run. With --jobs above 1 the
+                      checkpoint must be an autosave, or the earlier run's
+                      --steps / --jobs a multiple of 1024; other
+                      checkpoints are refused
     --autosave-every <B>  with --corpus: also checkpoint mid-run, every B
                       completed worker batches (deterministic cadence), so
                       a killed campaign resumes from the last autosave

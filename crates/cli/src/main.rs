@@ -22,7 +22,10 @@
 //! included, so `--resume` composes with any fixed `--jobs` count.
 //! `--resume` thaws that checkpoint and continues to a raised `--steps`
 //! budget — bit-identical to a single uninterrupted run, which is what
-//! the CI determinism gate asserts byte for byte. All campaign reports
+//! the CI determinism gate asserts byte for byte. Above `--jobs 1` the
+//! checkpoint must lie on a round boundary (an autosave, or a run whose
+//! per-worker slice is a multiple of 1024); others are refused. All
+//! campaign reports
 //! go to stdout; corpus bookkeeping and `--stats-every` live statistics
 //! go to stderr so resumed and uninterrupted runs produce identical
 //! stdout.
@@ -168,7 +171,6 @@ impl EventSink for StderrSink<'_> {
             } => {
                 eprintln!("corpus: autosave #{ordinal} at batch {batches_completed}");
             }
-            CampaignEvent::DivergenceFound { .. } | CampaignEvent::DutFailureRecorded { .. } => {}
         }
     }
 }

@@ -505,7 +505,7 @@ impl CampaignReport {
     /// The operation is associative, so sharded campaign workers can be
     /// folded in any grouping. Note that `unique_traces`,
     /// `unique_trap_sets` and `corpus_size` *add* — they are per-worker
-    /// totals; use merged [`CoverageMap`]s for the deduplicated union.
+    /// totals; a checkpoint's report counts the deduplicated union.
     pub fn merge(&mut self, other: &CampaignReport) {
         // The merged name is the stable deduplicated union of the
         // `+`-joined DUT names, so merging stays associative even when
@@ -674,8 +674,8 @@ impl Campaign {
 
     /// Seed the campaign with entries from an earlier run (cross-run
     /// cross-pollination): entries are merged into the corpus — deduped
-    /// by [`SeedEntry::coverage_key`] — and their coverage keys admitted
-    /// into the coverage map, so the schedule exploits them from the
+    /// by [`SeedEntry::coverage_key`] — and their coverage keys observed
+    /// in the coverage map, so the schedule exploits them from the
     /// first iteration and re-discovering their traces is not "new"
     /// coverage. Returns how many entries were admitted.
     ///
@@ -685,17 +685,17 @@ impl Campaign {
     pub(crate) fn prime(&mut self, entries: &[SeedEntry]) -> usize {
         let admitted = self.corpus.merge_entries(entries);
         for entry in entries {
-            self.coverage.admit(entry.trace_digest);
-            self.coverage.admit_trap_set(entry.trap_causes);
+            self.coverage.observe(entry.trace_digest);
+            self.coverage.observe_trap_set(entry.trap_causes);
         }
         admitted
     }
 
     /// Freeze the campaign's complete mid-run state: the report counters
-    /// so far, every RNG stream position, the coverage map and the
-    /// corpus. Restoring it (with the same config) and running to a
-    /// larger budget is bit-identical to a single uninterrupted run of
-    /// that budget.
+    /// so far, every RNG stream position, the yield-key folds and the
+    /// corpus (whose keys are the rest of the coverage map). Restoring it
+    /// (with the same config) and running to a larger budget is
+    /// bit-identical to a single uninterrupted run of that budget.
     #[must_use]
     pub(crate) fn freeze(&self, report: &CampaignReport) -> CampaignState {
         let (generator_rng, library_rng) = self.generator.rng_states();
@@ -705,14 +705,17 @@ impl Campaign {
             generator_rng,
             library_rng,
             report: report.clone(),
-            coverage: self.coverage.clone(),
+            pc_pairs: self.coverage.pc_pairs_sorted(),
+            op_classes: self.coverage.op_classes_sorted(),
             entries: self.corpus.entries().to_vec(),
         }
     }
 
     /// Rebuild a campaign from a [`CampaignState`]; continue it with
-    /// [`Campaign::resume`] from the state's report. The caller checks
-    /// the config fingerprint ([`CampaignConfig::check_resume`]).
+    /// [`Campaign::resume`] from the state's report. Priming the corpus
+    /// rebuilds the trace and trap-set coverage, the state supplies the
+    /// yield keys. The caller checks the config fingerprint
+    /// ([`CampaignConfig::check_resume`]).
     ///
     /// # Errors
     ///
@@ -725,7 +728,7 @@ impl Campaign {
         state: &CampaignState,
     ) -> Result<Self, RestoreError> {
         let mut campaign = Campaign::new(config);
-        campaign.corpus.merge_entries(&state.entries);
+        campaign.prime(&state.entries);
         // Validate *after* the merge: duplicate coverage keys dedup away,
         // so an offered list that matches the count but shrinks on merge
         // is just as unresumable as a short one.
@@ -735,7 +738,12 @@ impl Campaign {
                 found: campaign.corpus.len(),
             });
         }
-        campaign.coverage = state.coverage.clone();
+        for &pc_pairs in &state.pc_pairs {
+            campaign.coverage.observe_pc_pairs(pc_pairs);
+        }
+        for &op_classes in &state.op_classes {
+            campaign.coverage.observe_op_classes(op_classes);
+        }
         campaign.rng.set_state(state.campaign_rng);
         campaign.corpus.set_rng_state(state.corpus_rng);
         campaign
@@ -1091,6 +1099,46 @@ mod tests {
             Campaign::restore(config(1_500), &frozen),
             Err(RestoreError::CorpusMismatch { found: 0, .. })
         ));
+    }
+
+    /// A checkpoint stores only the yield keys; restore rebuilds trace
+    /// and trap-set coverage from the corpus. The rebuilt map must equal
+    /// the live one for clean, mutant, primed and feedback-scheduled
+    /// campaigns alike.
+    #[test]
+    fn restore_rebuilds_the_live_coverage_map_from_the_corpus() {
+        let mut donor = Campaign::new(config(1_500).with_seed(0xD0));
+        let mut dut = Hart::new(1 << 16);
+        donor.run(&mut dut);
+        let donor_entries = donor.corpus().entries().to_vec();
+
+        let fast = config(3_000).with_schedule(PowerSchedule::Fast);
+        let explore = config(3_000).with_schedule(PowerSchedule::Explore);
+        let fflags = Some(BugScenario::DroppedFflags);
+        let cases = [
+            ("clean", config(3_000), None, false),
+            ("fflags", config(3_000), fflags, false),
+            ("primed", config(3_000), None, true),
+            ("fast", fast, None, false),
+            ("explore", explore, None, true),
+        ];
+        for (label, config, scenario, primed) in cases {
+            let mut live = Campaign::new(config.clone());
+            if primed {
+                live.prime(&donor_entries);
+            }
+            let report = match scenario {
+                Some(scenario) => live.run(&mut MutantHart::new(1 << 16, scenario)),
+                None => live.run(&mut Hart::new(1 << 16)),
+            };
+            assert!(report.unique_trap_sets > 1, "{label}: too little coverage");
+            let restored = Campaign::restore(config, &live.freeze(&report)).unwrap();
+            assert_eq!(
+                restored.coverage, live.coverage,
+                "{label}: coverage drifted"
+            );
+            assert_eq!(restored.coverage.unique(), report.unique_traces, "{label}");
+        }
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! [`CampaignDriver`] is the single entry point for running campaigns
 //! (it replaced the four historical doors: `Campaign::run`,
 //! `Campaign::resume`, `run_sharded` and `run_sharded_seeded`). A
-//! coordinator on the calling thread owns the global [`Corpus`], the
-//! union [`CoverageMap`] and the findings; worker threads each own one
-//! seed-disjoint campaign and a device under test, and the two sides
-//! speak over channels in *synchronisation rounds*:
+//! coordinator on the calling thread owns the global [`Corpus`] (whose
+//! keys are the union trace and trap-set coverage) and the findings;
+//! worker threads each own one seed-disjoint campaign and a device under
+//! test, and the two sides speak over channels in *synchronisation
+//! rounds*:
 //!
 //! ```text
 //!             RoundTask { broadcast, target, freeze }
@@ -44,14 +45,17 @@
 //! * Autosave cadence is counted in completed batches (one batch = one
 //!   worker-round), so checkpoint content never depends on wall-clock.
 //!
-//! Checkpoints (format v6, [`crate::persist`]) carry the coordinator
+//! Checkpoints (format v7, [`crate::persist`]) carry the coordinator
 //! counters — autosave ordinal, batch/round counters, pending-broadcast
 //! tail — and one [`WorkerStream`] per worker at every job count, so
 //! `--resume` composes with `--jobs N`: every worker thaws its own RNG
 //! streams, corpus and report and the rounds continue where they
-//! stopped.
+//! stopped. At `jobs > 1` that needs a checkpoint frozen on a round
+//! boundary (every autosave is); one whose last round stopped at the
+//! workers' budget slices is refused ([`DriveError::ResumeOffRound`]).
 
 use std::collections::{HashMap, HashSet};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -60,7 +64,6 @@ use tf_arch::{Dut, RemoteDutStats};
 
 use crate::campaign::{Campaign, CampaignConfig, CampaignReport, RestoreError};
 use crate::corpus::{Corpus, SeedEntry};
-use crate::coverage::CoverageMap;
 use crate::diff::ConfigError;
 use crate::persist::{self, CampaignCheckpoint, LoadedFile, PersistError, WorkerStream};
 use crate::rng::SplitMix64;
@@ -192,20 +195,6 @@ pub enum CampaignEvent {
         /// campaign-wide — the live-sharing counter.
         foreign_admitted: u64,
     },
-    /// A worker's divergence counter grew this round.
-    DivergenceFound {
-        /// The worker that observed the divergence.
-        worker: usize,
-        /// That worker's cumulative divergent runs.
-        divergent_runs: u64,
-    },
-    /// A worker's DUT-failure counter grew this round.
-    DutFailureRecorded {
-        /// The worker whose DUT failed.
-        worker: usize,
-        /// That worker's cumulative failures (crash + hang + desync).
-        dut_failures: u64,
-    },
     /// A periodic checkpoint was written mid-run.
     AutosaveWritten {
         /// 1-based autosave ordinal (continues across resume).
@@ -272,11 +261,25 @@ pub enum DriveError {
         /// Instructions the checkpoint covers.
         covered: u64,
     },
+    /// A multi-worker checkpoint was not frozen on a round boundary:
+    /// its last round stopped some worker at its budget slice (or live
+    /// sharing is off), so resumed admissions and broadcasts would land
+    /// where an uninterrupted run's do not.
+    ResumeOffRound {
+        /// The per-worker synchronisation distance (`0`: sharing off).
+        sync_every: u64,
+    },
     /// A worker checkpoint could not be restored.
     Restore(RestoreError),
     /// A mid-run autosave failed; the campaign stopped rather than keep
     /// running with a broken crash-recovery guarantee.
     Save(std::io::Error),
+    /// A worker thread panicked (the lowest worker id when several
+    /// panicked in one round). The other workers were stopped.
+    WorkerPanicked {
+        /// The worker that panicked.
+        worker: usize,
+    },
 }
 
 impl std::fmt::Display for DriveError {
@@ -321,8 +324,21 @@ impl std::fmt::Display for DriveError {
                 "nothing to resume: the checkpoint already covers {covered} instructions; \
                  raise --steps beyond that to continue the campaign"
             ),
+            DriveError::ResumeOffRound { sync_every: 0 } => f.write_str(
+                "a multi-worker campaign without live sharing cannot resume bit-identically",
+            ),
+            DriveError::ResumeOffRound { sync_every } => write!(
+                f,
+                "checkpoint stops mid-round: a worker ended at its budget slice instead of a \
+                 multiple of {sync_every} instructions, so a multi-worker resume cannot be \
+                 bit-identical — resume from an autosave (--autosave-every), or end the first \
+                 run where each worker's slice (--steps / --jobs) is a multiple of {sync_every}"
+            ),
             DriveError::Restore(error) => error.fmt(f),
             DriveError::Save(error) => write!(f, "saving corpus: {error}"),
+            DriveError::WorkerPanicked { worker } => {
+                write!(f, "worker {worker} panicked; the campaign was stopped")
+            }
         }
     }
 }
@@ -348,8 +364,6 @@ pub struct DriveOutcome {
     pub report: CampaignReport,
     /// Per-worker reports, in worker order.
     pub workers: Vec<WorkerReport>,
-    /// The union of every worker's coverage.
-    pub coverage: CoverageMap,
     /// The global corpus in admission order, deduped by
     /// [`SeedEntry::coverage_key`].
     pub corpus: Vec<SeedEntry>,
@@ -459,6 +473,10 @@ struct RoundResult {
     remote: Option<RemoteDutStats>,
     finished: bool,
 }
+
+/// What a worker sends the coordinator each round: its result, or its
+/// worker id when it panicked instead.
+type Reply = Result<RoundResult, usize>;
 
 /// A worker waiting to be spawned: its campaign, prior report and
 /// budget slice.
@@ -570,7 +588,7 @@ fn worker_loop<D: Dut>(
     mut seat: WorkerSeat,
     mut dut: D,
     tasks: &mpsc::Receiver<RoundTask>,
-    results: &mpsc::Sender<RoundResult>,
+    results: &mpsc::Sender<Reply>,
 ) {
     let mut report = std::mem::take(&mut seat.prior);
     while let Ok(task) = tasks.recv() {
@@ -597,7 +615,7 @@ fn worker_loop<D: Dut>(
             remote,
             finished,
         };
-        let delivered = results.send(result).is_ok();
+        let delivered = results.send(Ok(result)).is_ok();
         if finished || !delivered {
             break;
         }
@@ -692,7 +710,10 @@ impl<'a> CampaignDriver<'a> {
 
     /// Thaw the corpus file's checkpoint and continue toward a raised
     /// budget instead of starting fresh — bit-identical to one
-    /// uninterrupted run at the same worker count.
+    /// uninterrupted run at the same worker count. At `jobs > 1` the
+    /// checkpoint must lie on a round boundary: an autosave, or a run
+    /// whose per-worker budget slice is a multiple of the sync distance
+    /// ([`DriveError::ResumeOffRound`] otherwise).
     pub fn with_resume(mut self, resume: bool) -> Self {
         self.resume = resume;
         self
@@ -760,12 +781,11 @@ impl<'a> CampaignDriver<'a> {
     /// # Errors
     ///
     /// See [`DriveError`] — configuration, load/resume validation,
-    /// factory and autosave failures. A clean run that merely *finds*
+    /// factory and autosave failures, and a worker thread that panicked
+    /// ([`DriveError::WorkerPanicked`], at every job count). A
+    /// multi-worker resume from a checkpoint frozen off a round boundary
+    /// is [`DriveError::ResumeOffRound`]. A clean run that merely *finds*
     /// divergences is `Ok`; outcomes live in the report.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a worker thread panics.
     pub fn run<D, F>(mut self, mut dut_factory: F) -> Result<DriveOutcome, DriveError>
     where
         D: Dut + Send,
@@ -821,6 +841,19 @@ impl<'a> CampaignDriver<'a> {
             config
                 .check_resume(checkpoint.config_fingerprint)
                 .map_err(DriveError::Restore)?;
+            // One worker's broadcast is its own echo, so any stop is a
+            // valid boundary. Several workers must all have reached the
+            // last completed round's target.
+            let boundary = checkpoint.rounds_completed.saturating_mul(self.sync_every);
+            let off_round = checkpoint
+                .workers
+                .iter()
+                .any(|stream| stream.campaign.report.instructions_generated < boundary);
+            if jobs > 1 && (self.sync_every == 0 || off_round) {
+                return Err(DriveError::ResumeOffRound {
+                    sync_every: self.sync_every,
+                });
+            }
             Some(checkpoint)
         } else {
             None
@@ -948,13 +981,19 @@ impl<'a> CampaignDriver<'a> {
         let path = self.corpus.clone();
         let start = Instant::now();
         std::thread::scope(|scope| -> Result<(), DriveError> {
-            let (result_tx, result_rx) = mpsc::channel::<RoundResult>();
+            let (result_tx, result_rx) = mpsc::channel::<Reply>();
             let mut active: Vec<(usize, mpsc::Sender<RoundTask>)> = Vec::with_capacity(jobs);
             for (seat, dut) in seats.into_iter().zip(duts) {
                 let (task_tx, task_rx) = mpsc::channel::<RoundTask>();
                 let results = result_tx.clone();
-                active.push((seat.worker, task_tx));
-                scope.spawn(move || worker_loop(seat, dut, &task_rx, &results));
+                let worker = seat.worker;
+                active.push((worker, task_tx));
+                scope.spawn(move || {
+                    let run = || worker_loop(seat, dut, &task_rx, &results);
+                    if panic::catch_unwind(AssertUnwindSafe(run)).is_err() {
+                        let _ = results.send(Err(worker));
+                    }
+                });
             }
             drop(result_tx);
 
@@ -973,14 +1012,19 @@ impl<'a> CampaignDriver<'a> {
                     };
                     let _ = tasks.send(task);
                 }
+                // Every active worker replies once per round, with its
+                // result or its panic. Returning drops the task senders,
+                // which stops the other workers before the scope joins.
                 let mut batch = Vec::with_capacity(active.len());
-                for _ in 0..active.len() {
-                    match result_rx.recv() {
+                let mut panicked: Option<usize> = None;
+                for reply in result_rx.iter().take(active.len()) {
+                    match reply {
                         Ok(result) => batch.push(result),
-                        // Every worker hung up without reporting: a
-                        // worker panicked; the scope join will re-raise.
-                        Err(_) => return Ok(()),
+                        Err(worker) => panicked = Some(panicked.map_or(worker, |p| p.min(worker))),
                     }
+                }
+                if let Some(worker) = panicked {
+                    return Err(DriveError::WorkerPanicked { worker });
                 }
                 // Admission order is (round, worker id) — never channel
                 // arrival order — which is what makes a fixed worker
@@ -992,8 +1036,7 @@ impl<'a> CampaignDriver<'a> {
                 for result in &batch {
                     state.batches_completed += 1;
                     let admitted = state.admit(&result.novel);
-                    let counters = result.counters;
-                    let previous = std::mem::replace(&mut state.totals[result.worker], counters);
+                    state.totals[result.worker] = result.counters;
                     let mut sum = WorkerCounters::default();
                     for c in &state.totals {
                         sum.programs += c.programs;
@@ -1019,24 +1062,6 @@ impl<'a> CampaignDriver<'a> {
                             foreign_admitted: sum.foreign,
                         },
                     );
-                    if counters.divergent > previous.divergent {
-                        fire(
-                            &mut sink,
-                            &CampaignEvent::DivergenceFound {
-                                worker: result.worker,
-                                divergent_runs: counters.divergent,
-                            },
-                        );
-                    }
-                    if counters.failures > previous.failures {
-                        fire(
-                            &mut sink,
-                            &CampaignEvent::DutFailureRecorded {
-                                worker: result.worker,
-                                dut_failures: counters.failures,
-                            },
-                        );
-                    }
                 }
                 for result in batch {
                     if result.finished {
@@ -1072,7 +1097,12 @@ impl<'a> CampaignDriver<'a> {
                     }
                 }
             }
-            Ok(())
+            // Every worker finished; wait for their threads to exit, so a
+            // device that panics while being dropped still ends the run.
+            match result_rx.iter().filter_map(Result::err).min() {
+                Some(worker) => Err(DriveError::WorkerPanicked { worker }),
+                None => Ok(()),
+            }
         })?;
         let elapsed = start.elapsed();
 
@@ -1091,7 +1121,6 @@ impl<'a> CampaignDriver<'a> {
         Ok(DriveOutcome {
             report: checkpoint.report(),
             workers,
-            coverage: checkpoint.coverage(),
             corpus: state.global.into_entries(),
             elapsed,
             foreign_admitted: checkpoint
@@ -1261,6 +1290,87 @@ mod tests {
             Err(DriveError::Config(_))
         ));
         assert!(CampaignDriver::new(config(1_000)).validate().is_ok());
+    }
+
+    /// A golden hart that panics on its 50th reset when `planted`.
+    struct PanickingDut {
+        hart: Hart,
+        resets: u64,
+        planted: bool,
+    }
+
+    impl Dut for PanickingDut {
+        fn name(&self) -> &'static str {
+            "hart"
+        }
+        fn reset(&mut self) {
+            self.resets += 1;
+            if self.planted && self.resets == 50 {
+                panic!("planted device panic");
+            }
+            Dut::reset(&mut self.hart);
+        }
+        fn load(
+            &mut self,
+            base: u64,
+            program: &[tf_riscv::Instruction],
+        ) -> Result<(), tf_arch::Trap> {
+            Dut::load(&mut self.hart, base, program)
+        }
+        fn step(&mut self) -> tf_arch::StepOutcome {
+            Dut::step(&mut self.hart)
+        }
+        fn digest(&self) -> u64 {
+            Dut::digest(&self.hart)
+        }
+        fn enable_tracing(&mut self) {
+            Dut::enable_tracing(&mut self.hart);
+        }
+        fn take_trace(&mut self) -> Option<tf_arch::ExecutionTrace> {
+            Dut::take_trace(&mut self.hart)
+        }
+    }
+
+    /// Drive a 200k-instruction campaign whose `planted` workers panic,
+    /// behind a watchdog: a driver that hangs fails the test instead of
+    /// the suite.
+    fn drive_with_panics(jobs: usize, planted: &'static [usize]) -> Result<u64, DriveError> {
+        let (done, outcome) = mpsc::channel();
+        let driver = std::thread::spawn(move || {
+            let result = CampaignDriver::new(config(200_000))
+                .with_jobs(jobs)
+                .run(|spec| {
+                    Ok(PanickingDut {
+                        hart: Hart::new(1 << 16),
+                        resets: 0,
+                        planted: planted.contains(&spec.worker),
+                    })
+                })
+                .map(|outcome| outcome.report.instructions_generated);
+            let _ = done.send(result);
+        });
+        let result = outcome
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|error| panic!("jobs {jobs}: the driver hung or panicked: {error}"));
+        driver
+            .join()
+            .expect("the driver thread returns after reporting");
+        result
+    }
+
+    #[test]
+    fn a_worker_panic_ends_the_run_in_a_typed_error_at_every_job_count() {
+        for (jobs, planted) in [(1, &[0][..]), (2, &[1]), (4, &[3])] {
+            match drive_with_panics(jobs, planted) {
+                Err(DriveError::WorkerPanicked { worker }) => assert_eq!(worker, jobs - 1),
+                other => panic!("jobs {jobs}: expected WorkerPanicked, got {other:?}"),
+            }
+        }
+        // Two workers panic in the same round: the lowest id is reported.
+        match drive_with_panics(4, &[1, 3]) {
+            Err(DriveError::WorkerPanicked { worker }) => assert_eq!(worker, 1),
+            other => panic!("expected WorkerPanicked, got {other:?}"),
+        }
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! * [`CampaignDriver`] — the single entry point for running campaigns:
 //!   a builder (`with_jobs`, `with_corpus`, `with_resume`,
 //!   `with_event_sink`, …) whose [`CampaignDriver::run`] spins up a
-//!   coordinator that owns the [`Corpus`], [`CoverageMap`] and findings
-//!   while worker threads pull seed batches over channels. Seeds one
+//!   coordinator that owns the global [`Corpus`] and findings while
+//!   worker threads pull seed batches over channels. Seeds one
 //!   worker discovers are admitted centrally *while the campaign runs*
 //!   and broadcast to every other worker, reshaping their power-schedule
 //!   energies mid-flight — yet admission is ordered by worker id, not

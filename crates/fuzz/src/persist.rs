@@ -27,8 +27,10 @@
 //! calibration record — and are what
 //! `tf-cli corpus info|merge|minimize` operate on. A [`TAG_CHECKPOINT`]
 //! record is a full campaign freeze: the coordinator's counters plus one
-//! [`WorkerStream`] per worker (RNG positions, report, coverage, corpus)
-//! at every job count. Together with the seed records it makes
+//! [`WorkerStream`] per worker (RNG positions, report, yield keys,
+//! corpus) at every job count. A worker's trace and trap-set coverage is
+//! the set of keys in its corpus, so the checkpoint stores only what the
+//! seeds cannot rebuild. Together with the seed records it makes
 //! `tf-cli fuzz --resume` continue a campaign *bit-identically* to a run
 //! that was never interrupted. A stream entry identical to a seed record
 //! is stored as that record's index, so a one-worker checkpoint costs
@@ -52,7 +54,6 @@ use tf_riscv::{Fpr, Gpr, Instruction, Reg};
 
 use crate::campaign::{CampaignReport, Finding, FindingKind};
 use crate::corpus::{SeedCalibration, SeedEntry};
-use crate::coverage::CoverageMap;
 use crate::diff::Divergence;
 
 /// File magic: the first eight bytes of every corpus file.
@@ -95,7 +96,13 @@ pub const MAGIC: [u8; 8] = *b"TFCORPUS";
 /// worker count are derived on load rather than stored, and each stream
 /// entry identical to a seed record in the same file is written as that
 /// record's index. Seed records are unchanged from v3.
-pub const FORMAT_VERSION: u32 = 6;
+///
+/// Version 7 stores per worker only the coverage its seeds cannot
+/// rebuild: the pc-pair and opcode-class folds. Trace and trap-set
+/// coverage is the set of keys in the worker's corpus, so the sorted
+/// trace-digest and trap-set lists and the unread observation counter
+/// are gone; restore primes the corpus to rebuild them.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Record tag for one corpus seed entry.
 pub const TAG_SEED: u8 = 1;
@@ -185,9 +192,8 @@ pub struct LoadedFile {
 /// A frozen coordinated campaign: the coordinator's counters plus one
 /// [`WorkerStream`] per worker, at every job count — everything a
 /// resumed run needs to continue a half-spent budget exactly as if it
-/// had never stopped. The campaign-wide report and coverage are not
-/// stored; [`CampaignCheckpoint::report`] and
-/// [`CampaignCheckpoint::coverage`] derive them from the streams.
+/// had never stopped. The campaign-wide report is not stored;
+/// [`CampaignCheckpoint::report`] derives it from the streams.
 ///
 /// The global corpus is not duplicated here — it lives as ordinary
 /// [`TAG_SEED`] records in the same file, which is what keeps
@@ -221,8 +227,9 @@ impl CampaignCheckpoint {
     /// The campaign-wide report. One worker's report passes through
     /// verbatim, repeated divergences included. Several fold from empty
     /// with [`CampaignReport::merge`], so findings deduplicate, and the
-    /// coverage counters and corpus size then count the union: distinct
-    /// trace digests, trap-cause sets and coverage keys across workers.
+    /// coverage counters and corpus size then count the union of the
+    /// workers' corpora: distinct trace digests, trap-cause sets and
+    /// coverage keys.
     #[must_use]
     pub fn report(&self) -> CampaignReport {
         if let [only] = self.workers.as_slice() {
@@ -234,22 +241,17 @@ impl CampaignCheckpoint {
             report.merge(&stream.campaign.report);
             keys.extend(stream.campaign.entries.iter().map(SeedEntry::coverage_key));
         }
-        let coverage = self.coverage();
-        report.unique_traces = coverage.unique();
-        report.unique_trap_sets = coverage.unique_trap_sets();
+        (report.unique_traces, report.unique_trap_sets) = key_coverage(keys.iter().copied());
         report.corpus_size = keys.len();
         report
     }
+}
 
-    /// The union of every worker's coverage.
-    #[must_use]
-    pub fn coverage(&self) -> CoverageMap {
-        let mut coverage = CoverageMap::new();
-        for stream in &self.workers {
-            coverage.merge(&stream.campaign.coverage);
-        }
-        coverage
-    }
+/// The trace and trap-set coverage of a corpus, given its coverage keys:
+/// how many distinct trace digests and trap-cause sets they hold.
+fn key_coverage(keys: impl Iterator<Item = (u64, u64)>) -> (usize, usize) {
+    let (traces, trap_sets): (HashSet<u64>, HashSet<u64>) = keys.unzip();
+    (traces.len(), trap_sets.len())
 }
 
 /// The frozen mid-run state of one coordinator worker: its campaign plus
@@ -270,10 +272,11 @@ pub struct WorkerStream {
 }
 
 /// Everything needed to rebuild one campaign exactly: RNG stream
-/// positions, its report and coverage, and its corpus. A worker's corpus
-/// can differ from the global one: two workers may discover different
-/// programs with the same coverage key, and only the lower-indexed
-/// worker's program enters the global corpus.
+/// positions, its report, its yield keys and its corpus. The corpus
+/// rebuilds the rest of the coverage map. A worker's corpus can differ
+/// from the global one: two workers may discover different programs
+/// with the same coverage key, and only the lower-indexed worker's
+/// program enters the global corpus.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignState {
     /// Campaign scheduling stream position.
@@ -286,8 +289,10 @@ pub struct CampaignState {
     pub library_rng: u64,
     /// The report counters as of the freeze, divergences included.
     pub report: CampaignReport,
-    /// The coverage map as of the freeze.
-    pub coverage: CoverageMap,
+    /// The pc-transition-pair folds observed, sorted.
+    pub pc_pairs: Vec<u64>,
+    /// The opcode-class histogram folds observed, sorted.
+    pub op_classes: Vec<u64>,
     /// The corpus entries, in admission order.
     pub entries: Vec<SeedEntry>,
 }
@@ -519,7 +524,7 @@ pub(crate) fn read_trace_entry(s: &mut Slice) -> Option<Option<TraceEntry>> {
 /// Serialize a full [`CampaignReport`] — counters, detection latency,
 /// divergences, robustness counters and findings. The coverage-derived
 /// `unique_traces`/`unique_trap_sets` fields are *not* written; readers
-/// rederive them from the coverage map stored next to the report.
+/// rederive them from the corpus stored after the report.
 fn write_report(c: &mut Cursor, r: &CampaignReport) {
     c.str(&r.dut);
     for counter in [
@@ -566,8 +571,7 @@ fn write_report(c: &mut Cursor, r: &CampaignReport) {
 }
 
 /// Inverse of [`write_report`]. The coverage-derived unique counters are
-/// left at zero; the caller sets them from the coverage map read
-/// alongside.
+/// left at zero; the caller sets them from the corpus read alongside.
 fn read_report(s: &mut Slice) -> Option<CampaignReport> {
     let mut report = CampaignReport {
         dut: s.str()?,
@@ -630,47 +634,20 @@ fn read_report(s: &mut Slice) -> Option<CampaignReport> {
     Some(report)
 }
 
-/// Serialize a [`CoverageMap`]: all four key families plus the
-/// observation counter. Hash-set iteration order is nondeterministic;
-/// each family is sorted so identical campaigns write byte-identical
-/// checkpoints.
-fn write_coverage(c: &mut Cursor, coverage: &CoverageMap) {
-    let digests = coverage.digests_sorted();
-    c.u32(digests.len() as u32);
-    digests.into_iter().for_each(|d| c.u64(d));
-    let trap_sets = coverage.trap_sets_sorted();
-    c.u32(trap_sets.len() as u32);
-    trap_sets.into_iter().for_each(|t| c.u64(t));
-    let pc_pairs = coverage.pc_pairs_sorted();
-    c.u32(pc_pairs.len() as u32);
-    pc_pairs.into_iter().for_each(|p| c.u64(p));
-    let op_classes = coverage.op_classes_sorted();
-    c.u32(op_classes.len() as u32);
-    op_classes.into_iter().for_each(|o| c.u64(o));
-    c.u64(coverage.observations());
+/// A sorted key list: its length, then the keys.
+fn write_keys(c: &mut Cursor, keys: &[u64]) {
+    c.u32(keys.len() as u32);
+    keys.iter().for_each(|&key| c.u64(key));
 }
 
-/// Inverse of [`write_coverage`].
-fn read_coverage(s: &mut Slice) -> Option<CoverageMap> {
-    let mut coverage = CoverageMap::new();
-    let digests = s.u32()? as usize;
-    for _ in 0..digests {
-        coverage.admit(s.u64()?);
+/// Inverse of [`write_keys`].
+fn read_keys(s: &mut Slice) -> Option<Vec<u64>> {
+    let count = s.u32()? as usize;
+    let mut keys = Vec::with_capacity(count.min(1 << 16));
+    for _ in 0..count {
+        keys.push(s.u64()?);
     }
-    let trap_sets = s.u32()? as usize;
-    for _ in 0..trap_sets {
-        coverage.admit_trap_set(s.u64()?);
-    }
-    let pc_pairs = s.u32()? as usize;
-    for _ in 0..pc_pairs {
-        coverage.admit_pc_pairs(s.u64()?);
-    }
-    let op_classes = s.u32()? as usize;
-    for _ in 0..op_classes {
-        coverage.admit_op_classes(s.u64()?);
-    }
-    coverage.set_observations(s.u64()?);
-    Some(coverage)
+    Some(keys)
 }
 
 /// Stream-entry marker for an entry written inline (a length-prefixed
@@ -690,7 +667,8 @@ fn write_worker_stream(
     c.u64(state.generator_rng);
     c.u64(state.library_rng);
     write_report(c, &state.report);
-    write_coverage(c, &state.coverage);
+    write_keys(c, &state.pc_pairs);
+    write_keys(c, &state.op_classes);
     c.u32(state.entries.len() as u32);
     for entry in &state.entries {
         match index_of(entry) {
@@ -718,9 +696,8 @@ fn read_worker_stream(s: &mut Slice, seeds: &[SeedEntry]) -> Option<WorkerStream
     let generator_rng = s.u64()?;
     let library_rng = s.u64()?;
     let mut report = read_report(s)?;
-    let coverage = read_coverage(s)?;
-    report.unique_traces = coverage.unique();
-    report.unique_trap_sets = coverage.unique_trap_sets();
+    let pc_pairs = read_keys(s)?;
+    let op_classes = read_keys(s)?;
     let count = s.u32()? as usize;
     let mut entries = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
@@ -732,6 +709,8 @@ fn read_worker_stream(s: &mut Slice, seeds: &[SeedEntry]) -> Option<WorkerStream
             index => seeds.get(index as usize)?.clone(),
         });
     }
+    (report.unique_traces, report.unique_trap_sets) =
+        key_coverage(entries.iter().map(SeedEntry::coverage_key));
     Some(WorkerStream {
         campaign: CampaignState {
             campaign_rng,
@@ -739,7 +718,8 @@ fn read_worker_stream(s: &mut Slice, seeds: &[SeedEntry]) -> Option<WorkerStream
             generator_rng,
             library_rng,
             report,
-            coverage,
+            pc_pairs,
+            op_classes,
             entries,
         },
         foreign_admitted,
@@ -1031,9 +1011,17 @@ mod tests {
         assert!(matches!(err, PersistError::UnsupportedVersion { found: 2 }));
         let message = err.to_string();
         assert!(
-            message.contains("version 2") && message.contains("reads 6"),
+            message.contains("version 2") && message.contains("reads 7"),
             "{message}"
         );
+        // The previous layout stored coverage sets this build no longer
+        // reads: a v6 file is rejected the same way.
+        let mut v6 = file_bytes(&[entry(&[ebreak()], 1, 0)], None);
+        v6[8..12].copy_from_slice(&6u32.to_le_bytes());
+        assert!(matches!(
+            load_bytes(&v6),
+            Err(PersistError::UnsupportedVersion { found: 6 })
+        ));
     }
 
     #[test]
@@ -1191,7 +1179,11 @@ mod tests {
         assert_eq!(kept[2].coverage_key(), (1, 0b10));
     }
 
+    /// A hand-built stream whose report counts agree with its entries,
+    /// as a live campaign's do.
     fn stream(entries: Vec<SeedEntry>) -> WorkerStream {
+        let (unique_traces, unique_trap_sets) =
+            key_coverage(entries.iter().map(SeedEntry::coverage_key));
         WorkerStream {
             campaign: CampaignState {
                 campaign_rng: 1,
@@ -1201,9 +1193,12 @@ mod tests {
                 report: CampaignReport {
                     dut: "hart".into(),
                     corpus_size: entries.len(),
+                    unique_traces,
+                    unique_trap_sets,
                     ..CampaignReport::default()
                 },
-                coverage: CoverageMap::new(),
+                pc_pairs: vec![0x10, 0x20],
+                op_classes: vec![0x30],
                 entries,
             },
             foreign_admitted: 5,

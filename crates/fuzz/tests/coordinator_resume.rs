@@ -2,8 +2,8 @@
 //! campaign resumed from a *mid-run autosave* — the file a SIGKILL at
 //! that moment would leave behind (saves are atomic temp+rename) — must
 //! land on the identical outcome an uninterrupted campaign produces, at
-//! any worker count. The per-worker RNG streams in the v5 checkpoint
-//! are exactly what makes `--resume` compose with `--jobs N`.
+//! any worker count. The per-worker RNG streams in the checkpoint are
+//! exactly what makes `--resume` compose with `--jobs N`.
 
 use std::path::PathBuf;
 
@@ -86,14 +86,16 @@ fn resume_from_a_mid_run_autosave_is_bit_identical_at_any_job_count() {
 fn checkpoints_are_pinned_to_their_worker_count() {
     let path = temp_path("jobs-pinned.tfc");
     let _ = std::fs::remove_file(&path);
-    let outcome = CampaignDriver::new(config(0x10B5, 4_000))
+    // 2,048 instructions per worker end the first leg on a round
+    // boundary, so the same-count resume below is a legal one.
+    let outcome = CampaignDriver::new(config(0x10B5, 4_096))
         .with_jobs(2)
         .with_corpus(&path)
         .run(|_| Ok(Hart::new(MEM)))
         .unwrap();
     outcome.save().unwrap().expect("persistent outcome saves");
 
-    let rejected = CampaignDriver::new(config(0x10B5, 8_000))
+    let rejected = CampaignDriver::new(config(0x10B5, 8_192))
         .with_jobs(3)
         .with_corpus(&path)
         .with_resume(true)
@@ -106,14 +108,65 @@ fn checkpoints_are_pinned_to_their_worker_count() {
     }
 
     // At the frozen worker count the same file resumes fine.
-    let resumed = CampaignDriver::new(config(0x10B5, 8_000))
+    let resumed = CampaignDriver::new(config(0x10B5, 8_192))
         .with_jobs(2)
         .with_corpus(&path)
         .with_resume(true)
         .run(|_| Ok(Hart::new(MEM)))
         .unwrap();
-    assert!(resumed.report.instructions_generated >= 8_000);
+    assert!(resumed.report.instructions_generated >= 8_192);
     std::fs::remove_file(&path).unwrap();
+}
+
+/// A multi-worker first leg that ends mid-round stops each worker at its
+/// budget slice, not at a round boundary, so its last admissions and
+/// broadcast land where an uninterrupted run's do not: resuming it is
+/// refused. A first leg whose slices are whole rounds resumes to the
+/// uninterrupted run's exact bytes.
+#[test]
+fn multi_worker_resume_needs_a_round_boundary() {
+    let run = |budget: u64, path: &PathBuf, resume: bool| {
+        CampaignDriver::new(config(7, budget))
+            .with_jobs(2)
+            .with_corpus(path)
+            .with_resume(resume)
+            .run(|_| Ok(Hart::new(MEM)))
+    };
+    let saved = |outcome: DriveOutcome| {
+        outcome.save().unwrap().expect("persistent outcome saves");
+    };
+
+    // 2,000 instructions per worker: the second round stops short of 2,048.
+    let mid_round = temp_path("mid-round.tfc");
+    let _ = std::fs::remove_file(&mid_round);
+    saved(run(4_000, &mid_round, false).unwrap());
+    match run(8_000, &mid_round, true) {
+        Err(DriveError::ResumeOffRound { sync_every }) => {
+            assert_eq!(sync_every, DEFAULT_SYNC_EVERY);
+        }
+        other => panic!("expected ResumeOffRound, got {other:?}"),
+    }
+
+    // 2,048 instructions per worker: two whole rounds.
+    let whole = temp_path("whole-rounds.tfc");
+    let full = temp_path("uninterrupted.tfc");
+    let _ = std::fs::remove_file(&whole);
+    let _ = std::fs::remove_file(&full);
+    saved(run(4_096, &whole, false).unwrap());
+    let resumed = run(8_192, &whole, true).unwrap();
+    let want = run(8_192, &full, false).unwrap();
+    assert_eq!(resumed.report, want.report);
+    assert_eq!(resumed.workers, want.workers);
+    saved(resumed);
+    saved(want);
+    assert_eq!(
+        std::fs::read(&whole).unwrap(),
+        std::fs::read(&full).unwrap(),
+        "resumed and uninterrupted files differ"
+    );
+    for path in [mid_round, whole, full] {
+        std::fs::remove_file(path).unwrap();
+    }
 }
 
 /// The batch events count unique traces from the global corpus, not
