@@ -58,9 +58,11 @@ FUZZ OPTIONS:
                       single uninterrupted run; requires the same
                       seed/len/flags and the same --jobs count as the
                       checkpointed run. With --jobs above 1 the
-                      checkpoint must be an autosave, or the earlier run's
-                      --steps / --jobs a multiple of 1024; other
-                      checkpoints are refused
+                      checkpoint must lie on a round boundary: the
+                      earlier run's --steps a multiple of --jobs × 1024,
+                      or the autosave of a run killed before its last
+                      round (a finished run's save replaces its
+                      autosaves); other checkpoints are refused
     --autosave-every <B>  with --corpus: also checkpoint mid-run, every B
                       completed worker batches (deterministic cadence), so
                       a killed campaign resumes from the last autosave

@@ -23,16 +23,16 @@
 //! `--resume` thaws that checkpoint and continues to a raised `--steps`
 //! budget — bit-identical to a single uninterrupted run, which is what
 //! the CI determinism gate asserts byte for byte. Above `--jobs 1` the
-//! checkpoint must lie on a round boundary (an autosave, or a run whose
-//! per-worker slice is a multiple of 1024); others are refused. All
-//! campaign reports
-//! go to stdout; corpus bookkeeping and `--stats-every` live statistics
-//! go to stderr so resumed and uninterrupted runs produce identical
-//! stdout.
+//! checkpoint must lie on a round boundary (a run whose `--steps` is a
+//! multiple of `--jobs` × 1024, or the autosave of a run killed before
+//! its last round); others are refused. All campaign reports go to
+//! stdout; corpus bookkeeping and `--stats-every` live statistics go to
+//! stderr so resumed and uninterrupted runs produce identical stdout.
 //!
 //! `--expect divergence|clean` turns the campaign outcome into the exit
 //! status, which is how CI gates the fuzzer end to end.
 
+use std::io::{self, ErrorKind, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -57,10 +57,7 @@ fn main() -> ExitCode {
             Ok(args) => run_corpus(&args),
             Err(error) => usage_error(&error),
         },
-        Some("--help" | "-h" | "help") | None => {
-            println!("{}", args::USAGE);
-            ExitCode::SUCCESS
-        }
+        Some("--help" | "-h" | "help") | None => report(|out| writeln!(out, "{}", args::USAGE)),
         Some(other) => usage_error(&format!("unknown command `{other}`")),
     }
 }
@@ -74,6 +71,19 @@ fn usage_error(error: &str) -> ExitCode {
 fn fail(error: &str) -> ExitCode {
     eprintln!("tf-cli: {error}");
     ExitCode::from(1)
+}
+
+/// Write a report to stdout. A reader that closes early (`tf-cli corpus
+/// info F | head`) has read all it wanted, so a broken pipe ends the
+/// report quietly; any other write error fails the command.
+fn report(write: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> ExitCode {
+    let mut stdout = io::stdout().lock();
+    match write(&mut stdout).and_then(|()| stdout.flush()) {
+        Err(error) if error.kind() != ErrorKind::BrokenPipe => {
+            fail(&format!("writing stdout: {error}"))
+        }
+        _ => ExitCode::SUCCESS,
+    }
 }
 
 /// Map the campaign outcome to the exit status `--expect` demands.
@@ -177,8 +187,7 @@ impl EventSink for StderrSink<'_> {
 
 fn run_fuzz(args: &FuzzArgs) -> ExitCode {
     if args.help {
-        println!("{}", args::USAGE);
-        return ExitCode::SUCCESS;
+        return report(|out| writeln!(out, "{}", args::USAGE));
     }
     let config = CampaignConfig::default()
         .with_seed(args.seed)
@@ -230,15 +239,18 @@ fn run_fuzz(args: &FuzzArgs) -> ExitCode {
     };
 
     // The report comes first: a failing save must not swallow what the
-    // (completed) campaign observed. Plain report when stdout must be
-    // byte-comparable across runs (persistent single-worker campaigns
-    // and remote-DUT runs, whose CI gates cmp stdout); otherwise the
-    // full outcome with per-worker lines and wall-clock throughput.
-    if args.jobs == 1 && (args.corpus.is_some() || args.dut.is_some()) {
-        println!("{}", outcome.report);
-    } else {
-        println!("{outcome}");
-    }
+    // (completed) campaign observed, and a failing report must not lose
+    // the campaign. Plain report when stdout must be byte-comparable
+    // across runs (persistent single-worker campaigns and remote-DUT
+    // runs, whose CI gates cmp stdout); otherwise the full outcome with
+    // per-worker lines and wall-clock throughput.
+    let printed = report(|out| {
+        if args.jobs == 1 && (args.corpus.is_some() || args.dut.is_some()) {
+            writeln!(out, "{}", outcome.report)
+        } else {
+            writeln!(out, "{outcome}")
+        }
+    });
     if let Some(stats) = outcome.remote {
         eprintln!(
             "remote dut: {} batch(es) issued, {} respawn(s)",
@@ -261,6 +273,9 @@ fn run_fuzz(args: &FuzzArgs) -> ExitCode {
         Ok(None) => {}
         Err(error) => return fail(&format!("saving corpus: {error}")),
     }
+    if printed != ExitCode::SUCCESS {
+        return printed;
+    }
     verdict(&outcome.report, args.expect)
 }
 
@@ -272,8 +287,7 @@ const CHAOS_CRASH_EXIT: u8 = 117;
 /// Stdout carries protocol frames only; all diagnostics go to stderr.
 fn run_serve(args: &ServeArgs) -> ExitCode {
     if args.help {
-        println!("{}", args::USAGE);
-        return ExitCode::SUCCESS;
+        return report(|out| writeln!(out, "{}", args::USAGE));
     }
     let chaos = ChaosConfig {
         crash_after: args.chaos_crash_after,
@@ -325,75 +339,84 @@ fn corpus_info(path: &Path) -> ExitCode {
         loaded.entries.iter().map(|e| e.trace_digest).collect();
     let trap_sets: std::collections::HashSet<u64> =
         loaded.entries.iter().map(|e| e.trap_causes).collect();
-    println!("corpus {}:", path.display());
-    println!(
-        "  format v{}  digest fingerprint {:#018x}",
-        persist::FORMAT_VERSION,
-        tf_arch::digest::STABILITY_FINGERPRINT
-    );
-    println!(
-        "  {} entries ({} instructions), {} unique trace digests, {} trap-cause sets",
-        loaded.entries.len(),
-        words,
-        digests.len(),
-        trap_sets.len()
-    );
-    println!(
-        "  salvage: {} loaded, {} corrupt, {} unknown-tag{}",
-        loaded.report.loaded,
-        loaded.report.skipped,
-        loaded.report.unknown,
-        if loaded.report.truncated {
-            ", truncated tail"
-        } else {
-            ""
+    report(|out| {
+        writeln!(out, "corpus {}:", path.display())?;
+        writeln!(
+            out,
+            "  format v{}  digest fingerprint {:#018x}",
+            persist::FORMAT_VERSION,
+            tf_arch::digest::STABILITY_FINGERPRINT
+        )?;
+        writeln!(
+            out,
+            "  {} entries ({} instructions), {} unique trace digests, {} trap-cause sets",
+            loaded.entries.len(),
+            words,
+            digests.len(),
+            trap_sets.len()
+        )?;
+        writeln!(
+            out,
+            "  salvage: {} loaded, {} corrupt, {} unknown-tag{}",
+            loaded.report.loaded,
+            loaded.report.skipped,
+            loaded.report.unknown,
+            if loaded.report.truncated {
+                ", truncated tail"
+            } else {
+                ""
+            }
+        )?;
+        match &loaded.checkpoint {
+            Some(checkpoint) => {
+                let report = checkpoint.report();
+                writeln!(
+                    out,
+                    "  checkpoint: {} instructions against `{}` ({} divergent runs)",
+                    report.instructions_generated, report.dut, report.divergent_runs
+                )?;
+                writeln!(
+                    out,
+                    "  coordinator: {} worker stream(s), {} finding(s), \
+                     autosave #{} after {} batch(es)",
+                    checkpoint.workers.len(),
+                    report.findings.len(),
+                    checkpoint.autosave_ordinal,
+                    checkpoint.batches_completed
+                )?;
+            }
+            None => writeln!(out, "  checkpoint: none")?,
         }
-    );
-    match loaded.checkpoint {
-        Some(checkpoint) => {
-            let report = checkpoint.report();
-            println!(
-                "  checkpoint: {} instructions against `{}` ({} divergent runs)",
-                report.instructions_generated, report.dut, report.divergent_runs
-            );
-            println!(
-                "  coordinator: {} worker stream(s), {} finding(s), \
-                 autosave #{} after {} batch(es)",
-                checkpoint.workers.len(),
-                report.findings.len(),
-                checkpoint.autosave_ordinal,
-                checkpoint.batches_completed
-            );
+        if !loaded.entries.is_empty() {
+            writeln!(out, "  calibration (energy under fast/explore):")?;
+            let (mut cost, mut cov_yield, mut spent, mut children) = (0u64, 0u64, 0u64, 0u64);
+            for (index, entry) in loaded.entries.iter().enumerate() {
+                let c = &entry.calibration;
+                writeln!(
+                    out,
+                    "    [{index:4}] {:3} insns  cost {:6}  yield {}  spent {:5}  \
+                     children {:4}  energy {}/{}",
+                    entry.program.len(),
+                    c.cost,
+                    c.cov_yield,
+                    c.spent,
+                    c.children,
+                    PowerSchedule::Fast.energy(c),
+                    PowerSchedule::Explore.energy(c),
+                )?;
+                cost += c.cost;
+                cov_yield += u64::from(c.cov_yield);
+                spent += c.spent;
+                children += c.children;
+            }
+            writeln!(
+                out,
+                "  calibration totals: cost {cost}, yield {cov_yield}, spent {spent}, \
+                 children {children}"
+            )?;
         }
-        None => println!("  checkpoint: none"),
-    }
-    if !loaded.entries.is_empty() {
-        println!("  calibration (energy under fast/explore):");
-        let (mut cost, mut cov_yield, mut spent, mut children) = (0u64, 0u64, 0u64, 0u64);
-        for (index, entry) in loaded.entries.iter().enumerate() {
-            let c = &entry.calibration;
-            println!(
-                "    [{index:4}] {:3} insns  cost {:6}  yield {}  spent {:5}  \
-                 children {:4}  energy {}/{}",
-                entry.program.len(),
-                c.cost,
-                c.cov_yield,
-                c.spent,
-                c.children,
-                PowerSchedule::Fast.energy(c),
-                PowerSchedule::Explore.energy(c),
-            );
-            cost += c.cost;
-            cov_yield += u64::from(c.cov_yield);
-            spent += c.spent;
-            children += c.children;
-        }
-        println!(
-            "  calibration totals: cost {cost}, yield {cov_yield}, spent {spent}, \
-             children {children}"
-        );
-    }
-    ExitCode::SUCCESS
+        Ok(())
+    })
 }
 
 fn corpus_merge(out: &Path, inputs: &[String]) -> ExitCode {
@@ -412,13 +435,15 @@ fn corpus_merge(out: &Path, inputs: &[String]) -> ExitCode {
     if let Err(error) = merged.save(out) {
         return fail(&format!("saving {}: {error}", out.display()));
     }
-    println!(
-        "merged {} corpora into {} ({} entries)",
-        inputs.len(),
-        out.display(),
-        merged.len()
-    );
-    ExitCode::SUCCESS
+    report(|stdout| {
+        writeln!(
+            stdout,
+            "merged {} corpora into {} ({} entries)",
+            inputs.len(),
+            out.display(),
+            merged.len()
+        )
+    })
 }
 
 fn corpus_minimize(path: &Path, out: &Path) -> ExitCode {
@@ -436,13 +461,15 @@ fn corpus_minimize(path: &Path, out: &Path) -> ExitCode {
     if let Err(error) = persist::save_entries(out, &kept) {
         return fail(&format!("saving {}: {error}", out.display()));
     }
-    println!(
-        "minimized {} -> {} entries into {}",
-        loaded.entries.len(),
-        kept.len(),
-        out.display()
-    );
-    ExitCode::SUCCESS
+    report(|stdout| {
+        writeln!(
+            stdout,
+            "minimized {} -> {} entries into {}",
+            loaded.entries.len(),
+            kept.len(),
+            out.display()
+        )
+    })
 }
 
 #[cfg(test)]

@@ -117,7 +117,7 @@ fn chaos_crash_yields_a_finding_and_the_campaign_survives() {
         "the campaign must run to its budget despite the crash"
     );
     let finding = &report.findings[0];
-    assert_eq!(finding.kind, FindingKind::DutCrash);
+    assert_eq!(finding.kind, DutFailureKind::Crash);
     assert!(
         finding.cause.contains("exited with code 117"),
         "cause was: {}",
@@ -152,7 +152,7 @@ fn chaos_hang_is_detected_by_the_deadline() {
     assert_eq!(report.dut_crashes + report.dut_desyncs, 0);
     assert_eq!(stats.respawns, 1);
     let finding = &report.findings[0];
-    assert_eq!(finding.kind, FindingKind::DutHang);
+    assert_eq!(finding.kind, DutFailureKind::Hang);
     assert!(
         finding.cause.contains("no response within 250ms"),
         "cause was: {}",
@@ -175,7 +175,7 @@ fn chaos_garble_is_detected_as_a_desync() {
     assert_eq!(report.dut_crashes + report.dut_hangs, 0);
     assert_eq!(stats.respawns, 1);
     let finding = &report.findings[0];
-    assert_eq!(finding.kind, FindingKind::DutDesync);
+    assert_eq!(finding.kind, DutFailureKind::Desync);
     assert!(
         finding.cause.contains("payload checksum mismatch"),
         "cause was: {}",

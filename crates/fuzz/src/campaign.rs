@@ -251,38 +251,6 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// The kind of DUT-robustness finding a campaign recorded — the
-/// campaign-level view of a [`DutFailureKind`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum FindingKind {
-    /// The DUT child process died while executing the program.
-    DutCrash,
-    /// The DUT missed its per-batch wall-clock deadline.
-    DutHang,
-    /// The DUT sent garbage over its protocol stream.
-    DutDesync,
-}
-
-impl From<DutFailureKind> for FindingKind {
-    fn from(kind: DutFailureKind) -> Self {
-        match kind {
-            DutFailureKind::Crash => FindingKind::DutCrash,
-            DutFailureKind::Hang => FindingKind::DutHang,
-            DutFailureKind::Desync => FindingKind::DutDesync,
-        }
-    }
-}
-
-impl std::fmt::Display for FindingKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            FindingKind::DutCrash => "dut crash",
-            FindingKind::DutHang => "dut hang",
-            FindingKind::DutDesync => "dut desync",
-        })
-    }
-}
-
 /// A recorded DUT-robustness finding: the program whose differential run
 /// made an out-of-process backend crash, hang or desync. Findings sit
 /// alongside [`Divergence`]s in the [`CampaignReport`] — they are
@@ -290,7 +258,7 @@ impl std::fmt::Display for FindingKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// How the DUT failed.
-    pub kind: FindingKind,
+    pub kind: DutFailureKind,
     /// Deterministic failure cause ("exited with code 117", …).
     pub cause: String,
     /// The program whose run surfaced the failure.
@@ -309,11 +277,7 @@ impl Finding {
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let mut fnv = Fnv::new();
-        fnv.write_u64(match self.kind {
-            FindingKind::DutCrash => 0,
-            FindingKind::DutHang => 1,
-            FindingKind::DutDesync => 2,
-        });
+        fnv.write_u64(self.kind as u64);
         fnv.write_bytes(self.cause.as_bytes());
         for insn in &self.program {
             fnv.write_u64(u64::from(insn.encode_lossy()));
@@ -326,7 +290,7 @@ impl std::fmt::Display for Finding {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} at batch {}: {}",
+            "dut {} at batch {}: {}",
             self.kind, self.at_batch, self.cause
         )?;
         if self.repeats > 1 {
@@ -337,30 +301,6 @@ impl std::fmt::Display for Finding {
             write!(f, "\n    {insn}")?;
         }
         Ok(())
-    }
-}
-
-/// One first-class campaign outcome, unifying the two ways a campaign
-/// flags the device under test: the DUTs disagreed on architectural
-/// state (a [`Divergence`]) or an out-of-process backend failed outright
-/// (a robustness [`Finding`]). Report consumers match on this one enum
-/// instead of walking the two underlying lists; `Display` delegates to
-/// the wrapped type, so printed output is byte-identical to printing it
-/// directly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CampaignOutcome<'a> {
-    /// The reference and the DUT disagreed on architectural state.
-    Divergence(&'a Divergence),
-    /// An out-of-process DUT crashed, hung or garbled its protocol.
-    DutFailure(&'a Finding),
-}
-
-impl std::fmt::Display for CampaignOutcome<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CampaignOutcome::Divergence(divergence) => divergence.fmt(f),
-            CampaignOutcome::DutFailure(finding) => finding.fmt(f),
-        }
     }
 }
 
@@ -424,16 +364,6 @@ impl CampaignReport {
         self.dut_crashes + self.dut_hangs + self.dut_desyncs
     }
 
-    /// Every recorded outcome — the minimized divergences first, then
-    /// the DUT robustness findings — each wrapped in the unified
-    /// [`CampaignOutcome`] enum so consumers match on one type.
-    pub fn outcomes(&self) -> impl Iterator<Item = CampaignOutcome<'_>> {
-        self.divergences
-            .iter()
-            .map(CampaignOutcome::Divergence)
-            .chain(self.findings.iter().map(CampaignOutcome::DutFailure))
-    }
-
     /// Human description of what the campaign actually reported, for
     /// expectation-failure messages: `"clean"`, or the observed outcome
     /// kinds joined with `" + "` in a fixed order (divergence, dut
@@ -477,7 +407,7 @@ impl CampaignReport {
             DutFailureKind::Desync => self.dut_desyncs += 1,
         }
         let finding = Finding {
-            kind: failure.kind.into(),
+            kind: failure.kind,
             cause: failure.detail.clone(),
             program: program.to_vec(),
             at_batch,
@@ -589,19 +519,12 @@ impl std::fmt::Display for CampaignReport {
             "  coverage: {} unique traces, {} trap-cause sets, {} corpus seeds",
             self.unique_traces, self.unique_trap_sets, self.corpus_size
         )?;
-        // Both report sections render through the unified
-        // [`CampaignOutcome`] enum, which delegates to the wrapped
-        // type's `Display` — output is byte-identical to printing the
-        // divergences and findings directly.
         if self.is_clean() {
             write!(f, "  divergences: none")?;
         } else {
             write!(f, "  divergences: {} divergent runs", self.divergent_runs)?;
-            for outcome in self
-                .outcomes()
-                .filter(|o| matches!(o, CampaignOutcome::Divergence(_)))
-            {
-                write!(f, "\n{outcome}")?;
+            for divergence in &self.divergences {
+                write!(f, "\n{divergence}")?;
             }
         }
         // The robustness section only appears when an out-of-process DUT
@@ -612,11 +535,8 @@ impl std::fmt::Display for CampaignReport {
                 "\n  dut failures: {} crashes, {} hangs, {} desyncs",
                 self.dut_crashes, self.dut_hangs, self.dut_desyncs
             )?;
-            for outcome in self
-                .outcomes()
-                .filter(|o| matches!(o, CampaignOutcome::DutFailure(_)))
-            {
-                write!(f, "\n{outcome}")?;
+            for finding in &self.findings {
+                write!(f, "\n{finding}")?;
             }
         }
         Ok(())

@@ -1,34 +1,37 @@
 //! The campaign coordinator: one corpus, many workers, live seed
-//! sharing — the LibAFL launcher/broker shape on `std::thread`s.
+//! sharing — the LibAFL launcher/broker shape as a fork-join round.
 //!
 //! [`CampaignDriver`] is the single entry point for running campaigns
 //! (it replaced the four historical doors: `Campaign::run`,
-//! `Campaign::resume`, `run_sharded` and `run_sharded_seeded`). A
+//! `Campaign::resume`, `run_sharded` and `run_sharded_seeded`). The
 //! coordinator on the calling thread owns the global [`Corpus`] (whose
-//! keys are the union trace and trap-set coverage) and the findings;
-//! worker threads each own one seed-disjoint campaign and a device under
-//! test, and the two sides speak over channels in *synchronisation
-//! rounds*:
+//! keys are the union trace and trap-set coverage), the findings and one
+//! worker per job: a seed-disjoint campaign and its device under test.
+//! The workers advance in *synchronisation rounds*, and each round is a
+//! barrier:
 //!
 //! ```text
-//!             RoundTask { broadcast, target, freeze }
-//!   coordinator ──────────────────────────────▶ worker 0..jobs
-//!   coordinator ◀────────────────────────────── worker 0..jobs
-//!             RoundResult { novel seeds, counters, stream? }
+//!   coordinator   prime the pending tail, set each round target
+//!        │ open
+//!        ├─▶ worker 0 (calling thread) ┐
+//!        ├─▶ worker 1 (own thread)     ├─ advance to the round target
+//!        └─▶ worker N-1 (own thread)   ┘
+//!        │ close
+//!   coordinator   admit novel seeds in worker-id order, fire events,
+//!                 autosave
 //! ```
 //!
-//! Each round, every active worker primes the seeds broadcast by the
-//! coordinator (the previous round's global admissions), advances its
-//! own campaign to the round's instruction target, and reports back the
-//! seeds *it* admitted plus its cumulative counters — a delta, so round
-//! cost does not grow with the corpus. A worker's full [`WorkerStream`]
-//! crosses only when the coordinator asks for a freeze (the round that
-//! triggers an autosave) and in its final round. The coordinator merges
-//! those novel seeds into
-//! the global corpus **in worker-id order** — never channel-arrival
-//! order — and broadcasts the admitted tail next round, so one worker's
-//! discovery reshapes every other worker's power-schedule energies
-//! while the campaign runs, deterministically.
+//! Between rounds only the coordinator touches the workers. It primes
+//! every active worker with the seeds admitted last round and sets its
+//! instruction target; after the round it reads the seeds each worker
+//! admitted where they lie, at the end of the worker's corpus, and
+//! merges them into the global corpus **in worker-id order** — so one
+//! worker's discovery reshapes every other worker's power-schedule
+//! energies while the campaign runs, deterministically. Only admitted
+//! seeds are copied, and an autosave freezes the live workers
+//! directly. Worker 0 runs on the calling thread and every other worker
+//! on one thread that lives for the whole run, so a jobs-1 campaign
+//! starts no thread at all.
 //!
 //! # Determinism rules
 //!
@@ -37,8 +40,8 @@
 //!   master seed, its index, its budget and the (deterministic)
 //!   broadcast stream — never on thread scheduling.
 //! * Admission into the global corpus happens in `(round, worker id)`
-//!   order, and each round is a barrier: no result is folded before
-//!   every active worker has reported.
+//!   order, and each round is a barrier: no seed is admitted before
+//!   every active worker has finished the round.
 //! * With `jobs = 1` the broadcast is the worker's own echo (admitting
 //!   nothing and touching no RNG), and budget slicing is exact, so the
 //!   run is bit-identical to the historical single-threaded campaign.
@@ -57,7 +60,8 @@
 use std::collections::{HashMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use tf_arch::{Dut, RemoteDutStats};
@@ -155,8 +159,8 @@ pub enum CampaignEvent {
         /// Whether the file carried a campaign checkpoint.
         checkpoint: bool,
     },
-    /// Seeds (from the file and/or [`CampaignDriver::with_seeds`]) were
-    /// admitted into the fresh campaign's global corpus.
+    /// Seeds from the corpus file were admitted into the fresh
+    /// campaign's global corpus.
     CorpusPrimed {
         /// Entries admitted after coverage-key dedup.
         admitted: usize,
@@ -206,7 +210,9 @@ pub enum CampaignEvent {
 
 /// Observer for live campaign statistics. Implementations are invoked
 /// on the coordinator thread between rounds — they can block without
-/// corrupting the campaign, but long stalls cost wall-clock.
+/// corrupting the campaign, but long stalls cost wall-clock. A panic in
+/// a sink stops every worker and propagates out of
+/// [`CampaignDriver::run`].
 pub trait EventSink {
     /// Observe one coordinator event.
     fn event(&mut self, event: &CampaignEvent);
@@ -274,8 +280,9 @@ pub enum DriveError {
     /// A mid-run autosave failed; the campaign stopped rather than keep
     /// running with a broken crash-recovery guarantee.
     Save(std::io::Error),
-    /// A worker thread panicked (the lowest worker id when several
-    /// panicked in one round). The other workers were stopped.
+    /// A worker's campaign or device panicked, during a round or when
+    /// dropped (the lowest worker id when several panicked at once). The
+    /// other workers were stopped.
     WorkerPanicked {
         /// The worker that panicked.
         worker: usize,
@@ -331,8 +338,9 @@ impl std::fmt::Display for DriveError {
                 f,
                 "checkpoint stops mid-round: a worker ended at its budget slice instead of a \
                  multiple of {sync_every} instructions, so a multi-worker resume cannot be \
-                 bit-identical — resume from an autosave (--autosave-every), or end the first \
-                 run where each worker's slice (--steps / --jobs) is a multiple of {sync_every}"
+                 bit-identical — re-run the first leg with --steps a multiple of --jobs × \
+                 {sync_every} (a finished run's save replaces its autosaves; only a run killed \
+                 before its last round leaves one to resume)"
             ),
             DriveError::Restore(error) => error.fmt(f),
             DriveError::Save(error) => write!(f, "saving corpus: {error}"),
@@ -450,46 +458,83 @@ impl std::fmt::Display for DriveOutcome {
     }
 }
 
-/// One worker's round assignment: the seeds every worker admitted last
-/// round, the absolute instruction target to advance to, and whether to
-/// ship the worker's full [`WorkerStream`] back (the round triggers an
-/// autosave).
-struct RoundTask {
-    broadcast: Vec<SeedEntry>,
-    target: u64,
-    freeze: bool,
-}
-
-/// One worker's round report back to the coordinator.
-struct RoundResult {
-    worker: usize,
-    /// Seeds this worker's own run admitted this round, in admission
-    /// order (broadcast-primed foreign seeds are not echoed back).
-    novel: Vec<SeedEntry>,
-    counters: WorkerCounters,
-    /// The worker's full state: present when the task asked for a
-    /// freeze, and in the worker's final round.
-    stream: Option<WorkerStream>,
-    remote: Option<RemoteDutStats>,
-    finished: bool,
-}
-
-/// What a worker sends the coordinator each round: its result, or its
-/// worker id when it panicked instead.
-type Reply = Result<RoundResult, usize>;
-
-/// A worker waiting to be spawned: its campaign, prior report and
-/// budget slice.
-struct WorkerSeat {
-    worker: usize,
+/// One coordinated worker: a seed-disjoint campaign, its device, and
+/// the bookkeeping the coordinator reads between rounds.
+struct Worker<D> {
     campaign: Campaign,
-    prior: CampaignReport,
+    dut: D,
+    report: CampaignReport,
+    /// Seeds primed into this worker that other workers discovered.
     foreign: u64,
+    /// The worker's slice of the instruction budget.
     budget: u64,
+    /// This round's absolute instruction target.
+    target: u64,
+    /// Corpus length after this round's priming: the seeds the worker
+    /// admits this round are the entries from here on.
+    round_start: usize,
+    finished: bool,
+    panicked: bool,
 }
 
-/// Cumulative per-worker counters, shipped every round for events.
-#[derive(Debug, Clone, Copy, Default)]
+impl<D: Dut> Worker<D> {
+    fn new(campaign: Campaign, dut: D, budget: u64) -> Self {
+        Worker {
+            campaign,
+            dut,
+            report: CampaignReport::default(),
+            foreign: 0,
+            budget,
+            target: 0,
+            round_start: 0,
+            finished: false,
+            panicked: false,
+        }
+    }
+
+    /// Advance the campaign to this round's target. A panic in the
+    /// campaign or its device is caught and flagged, so the round's
+    /// closing barrier is always reached.
+    fn run_round(&mut self) {
+        if self.finished {
+            return;
+        }
+        self.campaign.set_instruction_budget(self.target);
+        let prior = std::mem::take(&mut self.report);
+        let run = AssertUnwindSafe(|| self.campaign.resume(&mut self.dut, prior));
+        match panic::catch_unwind(run) {
+            Ok(report) => self.report = report,
+            Err(_) => self.panicked = true,
+        }
+        // Falling short of the target means the DUT died for good
+        // mid-round (respawn budget exhausted); the worker retires with
+        // whatever it observed.
+        let dead = self.report.instructions_generated < self.target;
+        self.finished = dead || self.target >= self.budget;
+    }
+
+    /// Freeze the worker's full state for a checkpoint.
+    fn stream(&self) -> WorkerStream {
+        WorkerStream {
+            campaign: self.campaign.freeze(&self.report),
+            foreign_admitted: self.foreign,
+            remote_batches: self
+                .dut
+                .remote_stats()
+                .map_or(0, |stats| stats.batches_issued),
+        }
+    }
+}
+
+/// Lock a worker. Only one thread touches a worker at a time — its own
+/// during a round, the coordinator between rounds — so this never waits,
+/// and a round catches its worker's panics, so no worker panic poisons it.
+fn lock<D>(worker: &Mutex<Worker<D>>) -> MutexGuard<'_, Worker<D>> {
+    worker.lock().expect("a round catches its worker's panics")
+}
+
+/// Cumulative per-worker counters, as of the worker's latest batch.
+#[derive(Debug, Clone, Copy)]
 struct WorkerCounters {
     programs: u64,
     instructions: u64,
@@ -500,14 +545,14 @@ struct WorkerCounters {
 }
 
 impl WorkerCounters {
-    fn of(report: &CampaignReport, foreign: u64) -> Self {
+    fn of<D>(worker: &Worker<D>) -> Self {
         WorkerCounters {
-            programs: report.programs,
-            instructions: report.instructions_generated,
-            steps: report.steps_executed,
-            divergent: report.divergent_runs,
-            failures: report.dut_failures(),
-            foreign,
+            programs: worker.report.programs,
+            instructions: worker.report.instructions_generated,
+            steps: worker.report.steps_executed,
+            divergent: worker.report.divergent_runs,
+            failures: worker.report.dut_failures(),
+            foreign: worker.foreign,
         }
     }
 }
@@ -519,15 +564,12 @@ struct CoordinatorState {
     /// Distinct trace digests in `global`. A worker's trace coverage is
     /// exactly the digests of the seeds it holds, and every seed a
     /// worker holds shares its key with a global one, so this is the
-    /// union coverage's `unique()` without shipping coverage maps.
+    /// union coverage's `unique()` without merging coverage maps.
     traces: HashSet<u64>,
     totals: Vec<WorkerCounters>,
-    /// Every worker's latest frozen stream; finished workers keep their
-    /// final one.
-    streams: Vec<Option<WorkerStream>>,
-    /// Worker 0's latest out-of-process DUT statistics.
-    remote: Option<RemoteDutStats>,
-    pending: Vec<SeedEntry>,
+    /// Where the global tail admitted last round, and not yet primed
+    /// into the workers, starts.
+    pending: usize,
     autosave_ordinal: u64,
     batches_completed: u64,
     rounds_completed: u64,
@@ -545,22 +587,21 @@ impl CoordinatorState {
         admitted
     }
 
-    /// Freeze the whole coordinated campaign: fold the workers' live
-    /// calibration into the global corpus, then move every worker's
-    /// latest stream into a checkpoint.
-    fn checkpoint(&mut self, config: &CampaignConfig) -> CampaignCheckpoint {
-        let workers: Vec<WorkerStream> = self
-            .streams
-            .iter_mut()
-            .map(|stream| stream.take().expect("every worker froze its stream"))
-            .collect();
+    /// Freeze the whole coordinated campaign from every worker's stream,
+    /// folding the workers' live calibration into the global corpus
+    /// first.
+    fn checkpoint(
+        &mut self,
+        config: &CampaignConfig,
+        workers: Vec<WorkerStream>,
+    ) -> CampaignCheckpoint {
         refresh_calibration(&mut self.global, &workers);
         CampaignCheckpoint {
             config_fingerprint: config.fingerprint(),
             autosave_ordinal: self.autosave_ordinal,
             batches_completed: self.batches_completed,
             rounds_completed: self.rounds_completed,
-            pending_broadcast: self.pending.len(),
+            pending_broadcast: self.global.len() - self.pending,
             workers,
         }
     }
@@ -579,46 +620,6 @@ fn round_target(budget: u64, round: u64, sync_every: u64) -> u64 {
 fn fire(sink: &mut Option<&mut dyn EventSink>, event: &CampaignEvent) {
     if let Some(sink) = sink {
         sink.event(event);
-    }
-}
-
-/// One worker thread: pull round tasks until finished (or orphaned),
-/// prime the broadcast, advance the campaign, report back.
-fn worker_loop<D: Dut>(
-    mut seat: WorkerSeat,
-    mut dut: D,
-    tasks: &mpsc::Receiver<RoundTask>,
-    results: &mpsc::Sender<Reply>,
-) {
-    let mut report = std::mem::take(&mut seat.prior);
-    while let Ok(task) = tasks.recv() {
-        seat.foreign += seat.campaign.prime(&task.broadcast) as u64;
-        seat.campaign.set_instruction_budget(task.target);
-        let before = seat.campaign.corpus().len();
-        report = seat.campaign.resume(&mut dut, report);
-        // Falling short of the target means the DUT died for good
-        // mid-round (respawn budget exhausted); the worker retires with
-        // whatever it observed.
-        let dead = report.instructions_generated < task.target;
-        let finished = dead || task.target >= seat.budget;
-        let remote = dut.remote_stats();
-        let stream = (task.freeze || finished).then(|| WorkerStream {
-            campaign: seat.campaign.freeze(&report),
-            foreign_admitted: seat.foreign,
-            remote_batches: remote.map_or(0, |stats| stats.batches_issued),
-        });
-        let result = RoundResult {
-            worker: seat.worker,
-            novel: seat.campaign.corpus().entries()[before..].to_vec(),
-            counters: WorkerCounters::of(&report, seat.foreign),
-            stream,
-            remote,
-            finished,
-        };
-        let delivered = results.send(Ok(result)).is_ok();
-        if finished || !delivered {
-            break;
-        }
     }
 }
 
@@ -669,7 +670,6 @@ pub struct CampaignDriver<'a> {
     jobs: usize,
     corpus: Option<PathBuf>,
     resume: bool,
-    seeds: Vec<SeedEntry>,
     autosave_every: u64,
     sync_every: u64,
     sink: Option<&'a mut dyn EventSink>,
@@ -684,16 +684,16 @@ impl<'a> CampaignDriver<'a> {
             jobs: 1,
             corpus: None,
             resume: false,
-            seeds: Vec::new(),
             autosave_every: 0,
             sync_every: DEFAULT_SYNC_EVERY,
             sink: None,
         }
     }
 
-    /// Split the instruction budget across `jobs` worker threads
-    /// ([`shard_config`]). `jobs = 1` (the default) is bit-identical to
-    /// the historical single-threaded campaign.
+    /// Split the instruction budget across `jobs` workers
+    /// ([`shard_config`]): worker 0 runs on the calling thread, every
+    /// other one on a thread of its own. `jobs = 1` (the default) is
+    /// bit-identical to the historical single-threaded campaign.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
         self
@@ -711,19 +711,12 @@ impl<'a> CampaignDriver<'a> {
     /// Thaw the corpus file's checkpoint and continue toward a raised
     /// budget instead of starting fresh — bit-identical to one
     /// uninterrupted run at the same worker count. At `jobs > 1` the
-    /// checkpoint must lie on a round boundary: an autosave, or a run
-    /// whose per-worker budget slice is a multiple of the sync distance
-    /// ([`DriveError::ResumeOffRound`] otherwise).
+    /// checkpoint must lie on a round boundary: a run whose per-worker
+    /// budget slice is a multiple of the sync distance, or the autosave
+    /// of a run killed before its last round — a finished run's save
+    /// replaces its autosaves ([`DriveError::ResumeOffRound`] otherwise).
     pub fn with_resume(mut self, resume: bool) -> Self {
         self.resume = resume;
-        self
-    }
-
-    /// Prime every fresh campaign with these entries (cross-run
-    /// cross-pollination), in addition to whatever the corpus file
-    /// holds. Ignored on resume — a checkpointed corpus is closed.
-    pub fn with_seeds(mut self, seeds: Vec<SeedEntry>) -> Self {
-        self.seeds = seeds;
         self
     }
 
@@ -775,13 +768,13 @@ impl<'a> CampaignDriver<'a> {
     }
 
     /// Run the campaign. `dut_factory` is called once per worker, on
-    /// the coordinator thread, with that worker's [`WorkerSpec`]; the
-    /// devices are moved into the worker threads.
+    /// the calling thread, with that worker's [`WorkerSpec`]; each device
+    /// then runs on its worker's thread.
     ///
     /// # Errors
     ///
     /// See [`DriveError`] — configuration, load/resume validation,
-    /// factory and autosave failures, and a worker thread that panicked
+    /// factory and autosave failures, and a worker that panicked
     /// ([`DriveError::WorkerPanicked`], at every job count). A
     /// multi-worker resume from a checkpoint frozen off a round boundary
     /// is [`DriveError::ResumeOffRound`]. A clean run that merely *finds*
@@ -872,19 +865,17 @@ impl<'a> CampaignDriver<'a> {
             duts.push(dut_factory(spec).map_err(DriveError::DutFactory)?);
         }
 
-        // 4. Build the worker seats and the coordinator state.
+        // 4. Build the workers and the coordinator state.
         let mut state = CoordinatorState {
             global: Corpus::new(config.seed),
             traces: HashSet::new(),
             totals: Vec::new(),
-            streams: (0..jobs).map(|_| None).collect(),
-            remote: None,
-            pending: Vec::new(),
+            pending: 0,
             autosave_ordinal: 0,
             batches_completed: 0,
             rounds_completed: 0,
         };
-        let seats: Vec<WorkerSeat> = if let Some(checkpoint) = checkpoint {
+        let workers: Vec<Mutex<Worker<D>>> = if let Some(checkpoint) = checkpoint {
             let frozen = checkpoint.report();
             let dut_name = duts[0].name();
             if frozen.dut != dut_name {
@@ -912,52 +903,39 @@ impl<'a> CampaignDriver<'a> {
             state.autosave_ordinal = checkpoint.autosave_ordinal;
             state.batches_completed = checkpoint.batches_completed;
             state.rounds_completed = checkpoint.rounds_completed;
-            let tail = checkpoint.pending_broadcast.min(state.global.len());
-            state.pending = state.global.entries()[state.global.len() - tail..].to_vec();
-            let mut seats = Vec::with_capacity(jobs);
-            for (worker, stream) in checkpoint.workers.into_iter().enumerate() {
-                let worker_config = shard_config(&config, jobs, worker);
-                let worker_budget = worker_config.instruction_budget;
+            state.pending =
+                state.global.len() - checkpoint.pending_broadcast.min(state.global.len());
+            let mut workers = Vec::with_capacity(jobs);
+            for (id, (stream, dut)) in checkpoint.workers.into_iter().zip(duts).enumerate() {
+                let worker_config = shard_config(&config, jobs, id);
+                let budget = worker_config.instruction_budget;
                 let campaign = Campaign::restore(worker_config, &stream.campaign)
                     .map_err(DriveError::Restore)?;
-                seats.push(WorkerSeat {
-                    worker,
-                    campaign,
-                    prior: stream.campaign.report,
-                    foreign: stream.foreign_admitted,
-                    budget: worker_budget,
-                });
+                let mut worker = Worker::new(campaign, dut, budget);
+                (worker.report, worker.foreign) = (stream.campaign.report, stream.foreign_admitted);
+                workers.push(Mutex::new(worker));
             }
-            seats
+            workers
         } else {
             // Fresh run: the global corpus is primed once, up front, and
-            // every worker primes it at its seat — so the round-0
-            // broadcast is empty and primed seeds never count as
+            // every worker primes it as it is built — so the first
+            // round's broadcast is empty and primed seeds never count as
             // foreign admissions.
-            let mut admitted = 0usize;
+            // Fires for every existing file, even an empty one, so
+            // persistent runs always log the admission count.
             if let Some(loaded) = &loaded {
-                admitted += state.global.merge_entries(&loaded.entries);
-            }
-            admitted += state.global.merge_entries(&self.seeds);
-            // Fires whenever there was anything to prime from — even an
-            // (empty) existing file — so persistent runs always log the
-            // admission count.
-            if loaded.is_some() || !self.seeds.is_empty() {
+                let admitted = state.global.merge_entries(&loaded.entries);
                 fire(&mut sink, &CampaignEvent::CorpusPrimed { admitted });
             }
-            (0..jobs)
-                .map(|worker| {
-                    let worker_config = shard_config(&config, jobs, worker);
-                    let worker_budget = worker_config.instruction_budget;
+            state.pending = state.global.len();
+            duts.into_iter()
+                .enumerate()
+                .map(|(id, dut)| {
+                    let worker_config = shard_config(&config, jobs, id);
+                    let budget = worker_config.instruction_budget;
                     let mut campaign = Campaign::new(worker_config);
                     campaign.prime(state.global.entries());
-                    WorkerSeat {
-                        worker,
-                        campaign,
-                        prior: CampaignReport::default(),
-                        foreign: 0,
-                        budget: worker_budget,
-                    }
+                    Mutex::new(Worker::new(campaign, dut, budget))
                 })
                 .collect()
         };
@@ -968,146 +946,145 @@ impl<'a> CampaignDriver<'a> {
             .iter()
             .map(|e| e.trace_digest)
             .collect();
-        state.totals = seats
+        state.totals = workers
             .iter()
-            .map(|seat| WorkerCounters::of(&seat.prior, seat.foreign))
+            .map(|w| WorkerCounters::of(&lock(w)))
             .collect();
-        let budgets: Vec<u64> = seats.iter().map(|seat| seat.budget).collect();
 
-        // 5. The round loop, inside a thread scope.
+        // 5. The rounds. Worker 0 runs on this thread and every other
+        // worker on one thread of its own for the whole run; two barriers
+        // open and close each round.
         let sync_every = self.sync_every;
         let autosave_every = self.autosave_every;
         let mut next_autosave = state.batches_completed + autosave_every;
         let path = self.corpus.clone();
+        let (open, close, stop) = (
+            &Barrier::new(jobs),
+            &Barrier::new(jobs),
+            &AtomicBool::new(false),
+        );
         let start = Instant::now();
-        std::thread::scope(|scope| -> Result<(), DriveError> {
-            let (result_tx, result_rx) = mpsc::channel::<Reply>();
-            let mut active: Vec<(usize, mpsc::Sender<RoundTask>)> = Vec::with_capacity(jobs);
-            for (seat, dut) in seats.into_iter().zip(duts) {
-                let (task_tx, task_rx) = mpsc::channel::<RoundTask>();
-                let results = result_tx.clone();
-                let worker = seat.worker;
-                active.push((worker, task_tx));
-                scope.spawn(move || {
-                    let run = || worker_loop(seat, dut, &task_rx, &results);
-                    if panic::catch_unwind(AssertUnwindSafe(run)).is_err() {
-                        let _ = results.send(Err(worker));
+        std::thread::scope(|scope| {
+            for worker in &workers[1..] {
+                scope.spawn(move || loop {
+                    open.wait();
+                    if stop.load(Ordering::Relaxed) {
+                        break;
                     }
+                    lock(worker).run_round();
+                    close.wait();
                 });
             }
-            drop(result_tx);
-
-            let mut round = state.rounds_completed;
-            while !active.is_empty() {
-                // Every active worker completes exactly one batch per
-                // round, so whether this round triggers an autosave is
-                // known before it runs; only then do workers freeze.
-                let freeze = autosave_every > 0
-                    && state.batches_completed + active.len() as u64 >= next_autosave;
-                for (worker, tasks) in &active {
-                    let task = RoundTask {
-                        broadcast: state.pending.clone(),
-                        target: round_target(budgets[*worker], round, sync_every),
-                        freeze,
-                    };
-                    let _ = tasks.send(task);
-                }
-                // Every active worker replies once per round, with its
-                // result or its panic. Returning drops the task senders,
-                // which stops the other workers before the scope joins.
-                let mut batch = Vec::with_capacity(active.len());
-                let mut panicked: Option<usize> = None;
-                for reply in result_rx.iter().take(active.len()) {
-                    match reply {
-                        Ok(result) => batch.push(result),
-                        Err(worker) => panicked = Some(panicked.map_or(worker, |p| p.min(worker))),
+            let rounds = panic::catch_unwind(AssertUnwindSafe(|| {
+                let mut active: Vec<usize> = (0..jobs).collect();
+                while !active.is_empty() {
+                    let broadcast = &state.global.entries()[state.pending..];
+                    for &id in &active {
+                        let mut worker = lock(&workers[id]);
+                        worker.foreign += worker.campaign.prime(broadcast) as u64;
+                        worker.target =
+                            round_target(worker.budget, state.rounds_completed, sync_every);
+                        worker.round_start = worker.campaign.corpus().len();
+                    }
+                    open.wait();
+                    lock(&workers[0]).run_round();
+                    close.wait();
+                    if let Some(&worker) = active.iter().find(|&&id| lock(&workers[id]).panicked) {
+                        return Err(DriveError::WorkerPanicked { worker });
+                    }
+                    // Admission order is (round, worker id), which is what
+                    // makes a fixed worker count deterministic.
+                    state.rounds_completed += 1;
+                    let tail_start = state.global.len();
+                    for &id in &active {
+                        let worker = lock(&workers[id]);
+                        state.batches_completed += 1;
+                        let admitted =
+                            state.admit(&worker.campaign.corpus().entries()[worker.round_start..]);
+                        state.totals[id] = WorkerCounters::of(&worker);
+                        drop(worker);
+                        let sum = |counter: fn(&WorkerCounters) -> u64| {
+                            state.totals.iter().map(counter).sum()
+                        };
+                        fire(
+                            &mut sink,
+                            &CampaignEvent::BatchCompleted {
+                                worker: id,
+                                batch: state.batches_completed,
+                                programs: sum(|c| c.programs),
+                                instructions: sum(|c| c.instructions),
+                                steps: sum(|c| c.steps),
+                                unique_traces: state.traces.len(),
+                                corpus: state.global.len(),
+                                divergent_runs: sum(|c| c.divergent),
+                                dut_failures: sum(|c| c.failures),
+                                admitted,
+                                foreign_admitted: sum(|c| c.foreign),
+                            },
+                        );
+                    }
+                    active.retain(|&id| !lock(&workers[id]).finished);
+                    // No other worker holds the newly admitted keys yet, so
+                    // each admitting worker's copy already carries the live
+                    // calibration: broadcast the tail as admitted.
+                    state.pending = tail_start;
+                    if autosave_every > 0 && state.batches_completed >= next_autosave {
+                        let path = path.as_deref().expect("validated: autosave needs a path");
+                        state.autosave_ordinal += 1;
+                        let streams = workers.iter().map(|w| lock(w).stream()).collect();
+                        let frozen = state.checkpoint(&config, streams);
+                        persist::save_campaign(path, state.global.entries(), &frozen)
+                            .map_err(DriveError::Save)?;
+                        fire(
+                            &mut sink,
+                            &CampaignEvent::AutosaveWritten {
+                                ordinal: state.autosave_ordinal,
+                                batches_completed: state.batches_completed,
+                            },
+                        );
+                        while next_autosave <= state.batches_completed {
+                            next_autosave += autosave_every;
+                        }
                     }
                 }
-                if let Some(worker) = panicked {
-                    return Err(DriveError::WorkerPanicked { worker });
-                }
-                // Admission order is (round, worker id) — never channel
-                // arrival order — which is what makes a fixed worker
-                // count deterministic.
-                batch.sort_by_key(|result| result.worker);
-                round += 1;
-                state.rounds_completed += 1;
-                let tail_start = state.global.len();
-                for result in &batch {
-                    state.batches_completed += 1;
-                    let admitted = state.admit(&result.novel);
-                    state.totals[result.worker] = result.counters;
-                    let mut sum = WorkerCounters::default();
-                    for c in &state.totals {
-                        sum.programs += c.programs;
-                        sum.instructions += c.instructions;
-                        sum.steps += c.steps;
-                        sum.divergent += c.divergent;
-                        sum.failures += c.failures;
-                        sum.foreign += c.foreign;
-                    }
-                    fire(
-                        &mut sink,
-                        &CampaignEvent::BatchCompleted {
-                            worker: result.worker,
-                            batch: state.batches_completed,
-                            programs: sum.programs,
-                            instructions: sum.instructions,
-                            steps: sum.steps,
-                            unique_traces: state.traces.len(),
-                            corpus: state.global.len(),
-                            divergent_runs: sum.divergent,
-                            dut_failures: sum.failures,
-                            admitted,
-                            foreign_admitted: sum.foreign,
-                        },
-                    );
-                }
-                for result in batch {
-                    if result.finished {
-                        active.retain(|(worker, _)| *worker != result.worker);
-                    }
-                    if result.worker == 0 {
-                        state.remote = result.remote;
-                    }
-                    if let Some(stream) = result.stream {
-                        state.streams[result.worker] = Some(stream);
-                    }
-                }
-                // No other worker holds the newly admitted keys yet, so
-                // each admitting worker's round-end copy already carries
-                // the live calibration: broadcast the tail as sent.
-                state.pending = state.global.entries()[tail_start..].to_vec();
-                if freeze {
-                    let path = path.as_deref().expect("validated: autosave needs a path");
-                    state.autosave_ordinal += 1;
-                    let frozen = state.checkpoint(&config);
-                    persist::save_campaign(path, state.global.entries(), &frozen)
-                        .map_err(DriveError::Save)?;
-                    state.streams = frozen.workers.into_iter().map(Some).collect();
-                    fire(
-                        &mut sink,
-                        &CampaignEvent::AutosaveWritten {
-                            ordinal: state.autosave_ordinal,
-                            batches_completed: state.batches_completed,
-                        },
-                    );
-                    while next_autosave <= state.batches_completed {
-                        next_autosave += autosave_every;
-                    }
-                }
-            }
-            // Every worker finished; wait for their threads to exit, so a
-            // device that panics while being dropped still ends the run.
-            match result_rx.iter().filter_map(Result::err).min() {
-                Some(worker) => Err(DriveError::WorkerPanicked { worker }),
-                None => Ok(()),
-            }
+                Ok(())
+            }));
+            // The one release point. However the rounds ended — done, an
+            // error, or a panic (a sink is caller code) — every worker
+            // thread waits at the opening barrier; open it once more with
+            // the stop flag up so the threads leave and the scope joins.
+            // The flag publishes no other data, and the barrier orders
+            // this store before every thread's load.
+            stop.store(true, Ordering::Relaxed);
+            open.wait();
+            rounds.unwrap_or_else(|payload| panic::resume_unwind(payload))
         })?;
-        let elapsed = start.elapsed();
 
-        // 6. Fold the final outcome from every worker's final stream.
-        let checkpoint = state.checkpoint(&config);
+        // 6. Freeze every worker for the last time and release its
+        // campaign and device; a device that panics while being dropped
+        // still ends the run, in the lowest such worker id.
+        let mut streams = Vec::with_capacity(jobs);
+        let mut remote = None;
+        let mut panicked = None;
+        for (id, worker) in workers.into_iter().enumerate() {
+            let worker = worker
+                .into_inner()
+                .expect("a round catches its worker's panics");
+            streams.push(worker.stream());
+            if id == 0 {
+                remote = worker.dut.remote_stats();
+            }
+            if panic::catch_unwind(AssertUnwindSafe(|| drop(worker))).is_err() {
+                panicked.get_or_insert(id);
+            }
+        }
+        let elapsed = start.elapsed();
+        if let Some(worker) = panicked {
+            return Err(DriveError::WorkerPanicked { worker });
+        }
+
+        // 7. Fold the final outcome from every worker's final stream.
+        let checkpoint = state.checkpoint(&config, streams);
         let workers = checkpoint
             .workers
             .iter()
@@ -1131,7 +1108,7 @@ impl<'a> CampaignDriver<'a> {
             batches_completed: state.batches_completed,
             rounds_completed: state.rounds_completed,
             autosaves: state.autosave_ordinal,
-            remote: state.remote,
+            remote,
             checkpoint,
             path,
         })
@@ -1141,6 +1118,8 @@ impl<'a> CampaignDriver<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{mpsc, Arc};
+    use std::thread::ThreadId;
     use tf_arch::{BugScenario, Hart, MutantHart};
 
     fn config(budget: u64) -> CampaignConfig {
@@ -1292,22 +1271,60 @@ mod tests {
         assert!(CampaignDriver::new(config(1_000)).validate().is_ok());
     }
 
-    /// A golden hart that panics on its 50th reset when `planted`.
-    struct PanickingDut {
-        hart: Hart,
-        resets: u64,
-        planted: bool,
+    /// Where a [`ProbeDut`] panics.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Plant {
+        /// On the device's 50th reset.
+        Reset,
+        /// When the device is dropped.
+        Drop,
     }
 
-    impl Dut for PanickingDut {
+    /// A golden hart that logs the thread of every reset and panics where
+    /// planted.
+    struct ProbeDut {
+        hart: Hart,
+        worker: usize,
+        resets: u64,
+        plant: Option<Plant>,
+        threads: Arc<Mutex<Vec<(usize, ThreadId)>>>,
+    }
+
+    impl ProbeDut {
+        fn new(
+            spec: WorkerSpec,
+            plant: Option<Plant>,
+            threads: &Arc<Mutex<Vec<(usize, ThreadId)>>>,
+        ) -> Self {
+            ProbeDut {
+                hart: Hart::new(1 << 16),
+                worker: spec.worker,
+                resets: 0,
+                plant,
+                threads: Arc::clone(threads),
+            }
+        }
+    }
+
+    impl Drop for ProbeDut {
+        fn drop(&mut self) {
+            if self.plant == Some(Plant::Drop) {
+                panic!("planted drop panic");
+            }
+        }
+    }
+
+    impl Dut for ProbeDut {
         fn name(&self) -> &'static str {
             "hart"
         }
         fn reset(&mut self) {
             self.resets += 1;
-            if self.planted && self.resets == 50 {
+            if self.plant == Some(Plant::Reset) && self.resets == 50 {
                 panic!("planted device panic");
             }
+            let thread = std::thread::current().id();
+            self.threads.lock().unwrap().push((self.worker, thread));
             Dut::reset(&mut self.hart);
         }
         fn load(
@@ -1331,46 +1348,155 @@ mod tests {
         }
     }
 
-    /// Drive a 200k-instruction campaign whose `planted` workers panic,
-    /// behind a watchdog: a driver that hangs fails the test instead of
-    /// the suite.
-    fn drive_with_panics(jobs: usize, planted: &'static [usize]) -> Result<u64, DriveError> {
-        let (done, outcome) = mpsc::channel();
+    /// Run `drive` on its own thread behind a 30 s watchdog, so a driver
+    /// that hangs fails the test instead of stalling the suite. Returns
+    /// what `drive` returned, or its panic.
+    fn watchdog<T: Send + 'static>(
+        what: &str,
+        drive: impl FnOnce() -> T + Send + 'static,
+    ) -> std::thread::Result<T> {
+        let (done, finished) = mpsc::channel();
         let driver = std::thread::spawn(move || {
-            let result = CampaignDriver::new(config(200_000))
+            let result = drive();
+            let _ = done.send(());
+            result
+        });
+        // A panicking `drive` drops the sender: that is not a hang.
+        if let Err(mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(30))
+        {
+            panic!("{what}: the driver hung");
+        }
+        driver.join()
+    }
+
+    /// Drive a `budget`-instruction campaign whose `planted` workers'
+    /// devices panic at `plant`, behind the watchdog.
+    fn drive_with_panics(
+        jobs: usize,
+        budget: u64,
+        plant: Plant,
+        planted: &'static [usize],
+    ) -> Result<u64, DriveError> {
+        let threads = Arc::default();
+        watchdog(&format!("jobs {jobs}"), move || {
+            CampaignDriver::new(config(budget))
                 .with_jobs(jobs)
                 .run(|spec| {
-                    Ok(PanickingDut {
-                        hart: Hart::new(1 << 16),
-                        resets: 0,
-                        planted: planted.contains(&spec.worker),
-                    })
+                    let plant = planted.contains(&spec.worker).then_some(plant);
+                    Ok(ProbeDut::new(spec, plant, &threads))
                 })
-                .map(|outcome| outcome.report.instructions_generated);
-            let _ = done.send(result);
-        });
-        let result = outcome
-            .recv_timeout(Duration::from_secs(30))
-            .unwrap_or_else(|error| panic!("jobs {jobs}: the driver hung or panicked: {error}"));
-        driver
-            .join()
-            .expect("the driver thread returns after reporting");
-        result
+                .map(|outcome| outcome.report.instructions_generated)
+        })
+        .unwrap_or_else(|_| panic!("jobs {jobs}: the driver panicked"))
     }
 
     #[test]
     fn a_worker_panic_ends_the_run_in_a_typed_error_at_every_job_count() {
         for (jobs, planted) in [(1, &[0][..]), (2, &[1]), (4, &[3])] {
-            match drive_with_panics(jobs, planted) {
+            match drive_with_panics(jobs, 200_000, Plant::Reset, planted) {
                 Err(DriveError::WorkerPanicked { worker }) => assert_eq!(worker, jobs - 1),
                 other => panic!("jobs {jobs}: expected WorkerPanicked, got {other:?}"),
             }
         }
         // Two workers panic in the same round: the lowest id is reported.
-        match drive_with_panics(4, &[1, 3]) {
+        match drive_with_panics(4, 200_000, Plant::Reset, &[1, 3]) {
             Err(DriveError::WorkerPanicked { worker }) => assert_eq!(worker, 1),
             other => panic!("expected WorkerPanicked, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_device_that_panics_when_dropped_ends_the_run_in_a_typed_error() {
+        // Two devices that panic when dropped: the lowest id is reported.
+        for (jobs, planted) in [(1, &[0][..]), (2, &[1]), (4, &[3]), (4, &[2, 3])] {
+            match drive_with_panics(jobs, 4_000, Plant::Drop, planted) {
+                Err(DriveError::WorkerPanicked { worker }) => assert_eq!(worker, planted[0]),
+                other => panic!("jobs {jobs}: expected WorkerPanicked, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_event_sink_propagates_its_panic_at_every_job_count() {
+        // The sink panics between rounds, while the worker threads wait
+        // for the next one: the run must still release them and re-raise.
+        for jobs in [1, 2, 4] {
+            let outcome = watchdog(&format!("jobs {jobs}"), move || {
+                let mut sink = |event: &CampaignEvent| {
+                    if let CampaignEvent::BatchCompleted { batch: 3, .. } = event {
+                        panic!("planted sink panic");
+                    }
+                };
+                CampaignDriver::new(config(200_000))
+                    .with_jobs(jobs)
+                    .with_event_sink(&mut sink)
+                    .run(|_| Ok(Hart::new(1 << 16)))
+                    .map(|outcome| outcome.rounds_completed)
+            });
+            let payload = outcome.expect_err("the sink's panic propagates");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"planted sink panic"),
+                "jobs {jobs}"
+            );
+        }
+    }
+
+    #[test]
+    fn worker_zero_runs_on_the_caller_and_every_other_worker_on_one_thread() {
+        let caller = std::thread::current().id();
+        for jobs in [1, 4] {
+            let log = Arc::default();
+            let outcome = CampaignDriver::new(config(16_000))
+                .with_jobs(jobs)
+                .run(|spec| Ok(ProbeDut::new(spec, None, &log)))
+                .unwrap();
+            assert!(outcome.rounds_completed >= 4, "jobs {jobs}: too few rounds");
+            let mut threads = vec![HashSet::new(); jobs];
+            for &(worker, thread) in log.lock().unwrap().iter() {
+                threads[worker].insert(thread);
+            }
+            assert_eq!(threads[0], HashSet::from([caller]), "jobs {jobs}: worker 0");
+            let others: HashSet<ThreadId> = threads[1..].iter().flatten().copied().collect();
+            assert_eq!(others.len(), jobs - 1, "jobs {jobs}: one thread per worker");
+            for (worker, seen) in threads.iter().enumerate().skip(1) {
+                assert_eq!(
+                    seen.len(),
+                    1,
+                    "jobs {jobs}: worker {worker} changed threads"
+                );
+                assert!(!seen.contains(&caller), "jobs {jobs}: worker {worker}");
+            }
+        }
+    }
+
+    #[test]
+    fn workers_that_finish_early_sit_the_last_round_out() {
+        // 6,145 instructions over three workers: slices 2,049/2,048/2,048.
+        // Workers 1 and 2 finish in round 2; worker 0 alone runs round 3.
+        let slices: Vec<u64> = (0..3)
+            .map(|worker| shard_config(&config(6_145), 3, worker).instruction_budget)
+            .collect();
+        assert_eq!(slices, [2_049, 2_048, 2_048]);
+        let run = || {
+            let mut batches = Vec::new();
+            let mut sink = |event: &CampaignEvent| {
+                if let CampaignEvent::BatchCompleted { worker, .. } = event {
+                    batches.push(*worker);
+                }
+            };
+            let outcome = CampaignDriver::new(config(6_145))
+                .with_jobs(3)
+                .with_event_sink(&mut sink)
+                .run(|_| Ok(Hart::new(1 << 16)))
+                .unwrap();
+            assert_eq!(outcome.batches_completed, 7);
+            assert_eq!(outcome.rounds_completed, 3);
+            (outcome.report, outcome.corpus, outcome.workers, batches)
+        };
+        let first = run();
+        assert_eq!(first.3, [0, 1, 2, 0, 1, 2, 0]);
+        assert_eq!(run(), first, "the jobs-3 run reran differently");
     }
 
     #[test]

@@ -26,17 +26,17 @@
 //!   [`tf_arch::TraceEntry`] — is bit-identical to an exact run.
 //! * [`CampaignDriver`] — the single entry point for running campaigns:
 //!   a builder (`with_jobs`, `with_corpus`, `with_resume`,
-//!   `with_event_sink`, …) whose [`CampaignDriver::run`] spins up a
-//!   coordinator that owns the global [`Corpus`] and findings while
-//!   worker threads pull seed batches over channels. Seeds one
-//!   worker discovers are admitted centrally *while the campaign runs*
-//!   and broadcast to every other worker, reshaping their power-schedule
-//!   energies mid-flight — yet admission is ordered by worker id, not
-//!   channel arrival, so a `--jobs N` campaign is deterministic for a
-//!   fixed `N` and `--jobs 1` is bit-identical to the historical
-//!   single-threaded campaign. Workers ship only their novel seeds and
-//!   counters each round; their full state crosses to the coordinator
-//!   only for an autosave and at the end. Progress streams through the
+//!   `with_event_sink`, …) whose [`CampaignDriver::run`] owns one worker
+//!   per job — worker 0 on the calling thread, every other one on a
+//!   thread of its own — and a coordinator that owns the global
+//!   [`Corpus`] and findings. Workers advance in rounds that are
+//!   barriers: between two rounds the coordinator reads each worker's
+//!   novel seeds in place, admits them centrally *while the campaign
+//!   runs* and primes them into every other worker, reshaping their
+//!   power-schedule energies mid-flight — yet admission is ordered by
+//!   worker id, so a `--jobs N` campaign is deterministic for a fixed
+//!   `N` and `--jobs 1` is bit-identical to the historical
+//!   single-threaded campaign. Progress streams through the
 //!   [`EventSink`] trait as [`CampaignEvent`]s, and the merged result is
 //!   a [`DriveOutcome`] with aggregate steps/sec.
 //! * [`persist`] — the versioned on-disk corpus format: seed entries plus
@@ -102,9 +102,7 @@ mod rng;
 mod schedule;
 pub mod serve;
 
-pub use campaign::{
-    CampaignConfig, CampaignOutcome, CampaignReport, Finding, FindingKind, RestoreError,
-};
+pub use campaign::{CampaignConfig, CampaignReport, Finding, RestoreError};
 pub use coordinator::{
     shard_config, worker_seed, CampaignDriver, CampaignEvent, DriveError, DriveOutcome, EventSink,
     SaveSummary, WorkerReport, WorkerSpec, DEFAULT_SYNC_EVERY,

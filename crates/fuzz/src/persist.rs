@@ -48,11 +48,11 @@ use std::io::{Read, Write};
 use std::path::Path;
 
 use tf_arch::digest::{Fnv, STABILITY_FINGERPRINT};
-use tf_arch::{StepOutcome, TraceEntry, Trap};
+use tf_arch::{DutFailureKind, StepOutcome, TraceEntry, Trap};
 use tf_riscv::csr::Cause;
 use tf_riscv::{Fpr, Gpr, Instruction, Reg};
 
-use crate::campaign::{CampaignReport, Finding, FindingKind};
+use crate::campaign::{CampaignReport, Finding};
 use crate::corpus::{SeedCalibration, SeedEntry};
 use crate::diff::Divergence;
 
@@ -556,9 +556,9 @@ fn write_report(c: &mut Cursor, r: &CampaignReport) {
     c.u32(r.findings.len() as u32);
     for finding in &r.findings {
         c.u8(match finding.kind {
-            FindingKind::DutCrash => 0,
-            FindingKind::DutHang => 1,
-            FindingKind::DutDesync => 2,
+            DutFailureKind::Crash => 0,
+            DutFailureKind::Hang => 1,
+            DutFailureKind::Desync => 2,
         });
         c.str(&finding.cause);
         c.u64(finding.at_batch);
@@ -610,9 +610,9 @@ fn read_report(s: &mut Slice) -> Option<CampaignReport> {
     let findings = s.u32()? as usize;
     for _ in 0..findings.min(1 << 10) {
         let kind = match s.u8()? {
-            0 => FindingKind::DutCrash,
-            1 => FindingKind::DutHang,
-            2 => FindingKind::DutDesync,
+            0 => DutFailureKind::Crash,
+            1 => DutFailureKind::Hang,
+            2 => DutFailureKind::Desync,
             _ => return None,
         };
         let cause = s.str()?;

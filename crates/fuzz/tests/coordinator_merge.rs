@@ -215,15 +215,30 @@ fn worker_corpora_are_merged_into_the_report_not_dropped() {
 
 #[test]
 fn seeded_sharded_runs_build_on_donor_corpora() {
+    let dir = std::env::temp_dir().join(format!("tf-merge-it-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("donor.tfc");
+    let _ = std::fs::remove_file(&path);
     let donor = CampaignDriver::new(config(31, 3_000))
         .with_jobs(2)
+        .with_corpus(&path)
         .run(|_| Ok(Hart::new(MEM)))
         .unwrap();
+    donor.save().unwrap();
+    let mut primed = None;
+    let mut sink = |event: &CampaignEvent| {
+        if let CampaignEvent::CorpusPrimed { admitted } = event {
+            primed = Some(*admitted);
+        }
+    };
     let receiver = CampaignDriver::new(config(32, 3_000))
         .with_jobs(2)
-        .with_seeds(donor.corpus.clone())
+        .with_corpus(&path)
+        .with_event_sink(&mut sink)
         .run(|_| Ok(Hart::new(MEM)))
         .unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(primed, Some(donor.corpus.len()), "every donor seed primes");
     assert!(
         receiver.report.unique_traces > donor.report.unique_traces,
         "seeding must carry the donor's coverage forward"
