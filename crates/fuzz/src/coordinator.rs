@@ -12,11 +12,11 @@
 //!
 //! ```text
 //!   coordinator   prime the pending tail, set each round target
-//!        │ open
+//!        │ open barrier
 //!        ├─▶ worker 0 (calling thread) ┐
 //!        ├─▶ worker 1 (own thread)     ├─ advance to the round target
-//!        └─▶ worker N-1 (own thread)   ┘
-//!        │ close
+//!        ├─▶ worker N-1 (own thread)   ┘
+//!        │ close barrier
 //!   coordinator   admit novel seeds in worker-id order, fire events,
 //!                 autosave
 //! ```
