@@ -42,6 +42,15 @@ mod args;
 
 use args::{CorpusArgs, Expectation, FuzzArgs, ServeArgs};
 
+/// `eprintln!` that ignores a failed write. Stderr carries diagnostics
+/// only, so a reader that closes it early (`tf-cli fuzz … 2>&1 | head -1`)
+/// must cost neither the campaign nor its exit status.
+macro_rules! note {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(io::stderr(), $($arg)*);
+    }};
+}
+
 fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1);
     match argv.next().as_deref() {
@@ -63,13 +72,13 @@ fn main() -> ExitCode {
 }
 
 fn usage_error(error: &str) -> ExitCode {
-    eprintln!("tf-cli: {error}");
-    eprintln!("{}", args::USAGE);
+    note!("tf-cli: {error}");
+    note!("{}", args::USAGE);
     ExitCode::from(1)
 }
 
 fn fail(error: &str) -> ExitCode {
-    eprintln!("tf-cli: {error}");
+    note!("tf-cli: {error}");
     ExitCode::from(1)
 }
 
@@ -97,7 +106,7 @@ fn verdict(report: &CampaignReport, expect: Option<Expectation>) -> ExitCode {
         Some(Expectation::Crash) if report.dut_crashes > 0 => ExitCode::SUCCESS,
         Some(Expectation::Hang) if report.dut_hangs > 0 => ExitCode::SUCCESS,
         Some(expected) => {
-            eprintln!(
+            note!(
                 "tf-cli: expectation failed: wanted {expected}, campaign reported {}",
                 report.outcome_summary()
             );
@@ -129,7 +138,7 @@ impl EventSink for StderrSink<'_> {
                 checkpoint,
             } => {
                 let path = self.path.expect("a corpus was loaded, so a path was given");
-                eprintln!(
+                note!(
                     "corpus: loaded {} seed(s) from {} ({} skipped{}{})",
                     loaded,
                     path.display(),
@@ -143,14 +152,14 @@ impl EventSink for StderrSink<'_> {
                 );
             }
             CampaignEvent::CorpusPrimed { admitted } => {
-                eprintln!("corpus: primed {admitted} seed(s) into the campaign");
+                note!("corpus: primed {admitted} seed(s) into the campaign");
             }
             CampaignEvent::Resuming {
                 instructions_done, ..
             } => {
-                eprintln!(
-                    "corpus: resuming at {} of {} instructions",
-                    instructions_done, self.budget
+                note!(
+                    "corpus: resuming at {instructions_done} of {} instructions",
+                    self.budget
                 );
             }
             CampaignEvent::BatchCompleted {
@@ -166,7 +175,7 @@ impl EventSink for StderrSink<'_> {
                 ..
             } => {
                 if self.stats_every > 0 && batch % self.stats_every == 0 {
-                    eprintln!(
+                    note!(
                         "stats: batch {batch}  instructions {instructions}/{}  \
                          programs {programs}  steps {steps}  corpus {corpus}  \
                          traces {unique_traces}  divergent {divergent_runs}  \
@@ -179,7 +188,7 @@ impl EventSink for StderrSink<'_> {
                 ordinal,
                 batches_completed,
             } => {
-                eprintln!("corpus: autosave #{ordinal} at batch {batches_completed}");
+                note!("corpus: autosave #{ordinal} at batch {batches_completed}");
             }
         }
     }
@@ -199,7 +208,7 @@ fn run_fuzz(args: &FuzzArgs) -> ExitCode {
     // between an in-process `--mutant` run and a `--dut … serve
     // --mutant` run, where the banner exists on one side only.
     if let Some(scenario) = args.mutant {
-        eprintln!("injected bug scenario — {scenario}");
+        note!("injected bug scenario — {scenario}");
     }
 
     let path = args.corpus.as_deref().map(Path::new);
@@ -252,20 +261,22 @@ fn run_fuzz(args: &FuzzArgs) -> ExitCode {
         }
     });
     if let Some(stats) = outcome.remote {
-        eprintln!(
+        note!(
             "remote dut: {} batch(es) issued, {} respawn(s)",
-            stats.batches_issued, stats.respawns
+            stats.batches_issued,
+            stats.respawns
         );
         if stats.dead {
-            eprintln!(
+            note!(
                 "remote dut: respawn budget exhausted after {} of {} instructions — \
                  campaign ended early (findings above are still valid)",
-                outcome.report.instructions_generated, args.steps
+                outcome.report.instructions_generated,
+                args.steps
             );
         }
     }
     match outcome.save() {
-        Ok(Some(saved)) => eprintln!(
+        Ok(Some(saved)) => note!(
             "corpus: saved {} seed(s) + checkpoint to {}",
             saved.seeds,
             saved.path.display()
@@ -427,12 +438,12 @@ fn corpus_merge(out: &Path, inputs: &[String]) -> ExitCode {
             Err(error) => return fail(&format!("{input}: {error}")),
         };
         let admitted = merged.merge_entries(&loaded.entries);
-        eprintln!(
+        note!(
             "corpus: {input}: {} entries, {admitted} new",
             loaded.entries.len()
         );
     }
-    if let Err(error) = merged.save(out) {
+    if let Err(error) = persist::save_entries(out, merged.entries()) {
         return fail(&format!("saving {}: {error}", out.display()));
     }
     report(|stdout| {
@@ -452,7 +463,7 @@ fn corpus_minimize(path: &Path, out: &Path) -> ExitCode {
         Err(error) => return fail(&error.to_string()),
     };
     if loaded.checkpoint.is_some() {
-        eprintln!(
+        note!(
             "tf-cli: warning: minimized output drops the campaign checkpoint \
              (a shrunk corpus cannot resume bit-identically)"
         );

@@ -672,15 +672,6 @@ impl Campaign {
         Ok(campaign)
     }
 
-    /// Run the campaign against `dut`, differencing every program
-    /// against a fresh golden [`Hart`] reference. Production code goes
-    /// through [`crate::CampaignDriver`]; tests keep this door to pin
-    /// the driver's jobs-1 bit-identity against the plain campaign.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn run(&mut self, dut: &mut dyn Dut) -> CampaignReport {
-        self.resume(dut, CampaignReport::default())
-    }
-
     /// Replace the instruction budget mid-flight. The coordinator slices
     /// one worker's campaign into synchronisation rounds by repeatedly
     /// raising the budget and calling [`Campaign::resume`]; because
@@ -691,10 +682,11 @@ impl Campaign {
         self.config.instruction_budget = budget;
     }
 
-    /// Continue a campaign from prior report counters — the resume path.
-    /// With a default (empty) prior report this *is* [`Campaign::run`];
-    /// with the report of a restored checkpoint it picks the budget up
-    /// exactly where the interrupted run left off.
+    /// Run the campaign against `dut`, differencing every program
+    /// against a fresh golden [`Hart`] reference, from prior report
+    /// counters: a default (empty) report starts the campaign, and the
+    /// report of a restored checkpoint picks the budget up exactly where
+    /// the interrupted run left off.
     ///
     /// # Panics
     ///
@@ -870,7 +862,7 @@ mod tests {
     fn clean_campaign_against_the_reference_model() {
         let mut campaign = Campaign::new(config(2_000));
         let mut dut = Hart::new(1 << 16);
-        let report = campaign.run(&mut dut);
+        let report = campaign.resume(&mut dut, CampaignReport::default());
         assert!(
             report.is_clean(),
             "reference vs reference diverged:\n{report}"
@@ -885,7 +877,7 @@ mod tests {
     fn campaign_flags_the_b2_mutant() {
         let mut campaign = Campaign::new(config(2_000));
         let mut dut = MutantHart::new(1 << 16, BugScenario::B2ReservedRounding);
-        let report = campaign.run(&mut dut);
+        let report = campaign.resume(&mut dut, CampaignReport::default());
         assert!(!report.is_clean(), "b2 mutant went undetected:\n{report}");
         let divergence = &report.divergences[0];
         // The minimized reproducer localises an FP step: reference traps,
@@ -902,7 +894,7 @@ mod tests {
         let full_config = config(2_000);
         let mut uninterrupted = Campaign::new(full_config.clone());
         let mut dut = Hart::new(1 << 16);
-        let full = uninterrupted.run(&mut dut);
+        let full = uninterrupted.resume(&mut dut, CampaignReport::default());
 
         // Same campaign, interrupted at half budget and frozen...
         let half_config = CampaignConfig {
@@ -911,7 +903,7 @@ mod tests {
         };
         let mut first = Campaign::new(half_config);
         let mut dut = Hart::new(1 << 16);
-        let half = first.run(&mut dut);
+        let half = first.resume(&mut dut, CampaignReport::default());
         let frozen = first.freeze(&half);
 
         // ...then thawed into a fresh Campaign and run to the full budget.
@@ -960,7 +952,7 @@ mod tests {
                 let mut campaign =
                     Campaign::new(config(2_000).with_schedule(schedule).with_window(window));
                 let mut dut = MutantHart::new(1 << 16, BugScenario::OffByOneImmediate);
-                let report = campaign.run(&mut dut);
+                let report = campaign.resume(&mut dut, CampaignReport::default());
                 (report, campaign.corpus.into_entries())
             };
             let exact = run(1);
@@ -983,7 +975,7 @@ mod tests {
         let full_config = config(2_000).with_schedule(PowerSchedule::Fast);
         let mut uninterrupted = Campaign::new(full_config.clone());
         let mut dut = Hart::new(1 << 16);
-        let full = uninterrupted.run(&mut dut);
+        let full = uninterrupted.resume(&mut dut, CampaignReport::default());
 
         let half_config = CampaignConfig {
             instruction_budget: 1_000,
@@ -991,7 +983,7 @@ mod tests {
         };
         let mut first = Campaign::new(half_config);
         let mut dut = Hart::new(1 << 16);
-        let half = first.run(&mut dut);
+        let half = first.resume(&mut dut, CampaignReport::default());
         let frozen = first.freeze(&half);
 
         let mut second = Campaign::restore(full_config, &frozen).unwrap();
@@ -1011,7 +1003,7 @@ mod tests {
         // cannot replay the mutation schedule bit-identically.
         let mut campaign = Campaign::new(config(1_500));
         let mut dut = Hart::new(1 << 16);
-        let report = campaign.run(&mut dut);
+        let report = campaign.resume(&mut dut, CampaignReport::default());
         assert!(report.corpus_size > 0);
         let mut frozen = campaign.freeze(&report);
         frozen.entries.clear();
@@ -1029,7 +1021,7 @@ mod tests {
     fn restore_rebuilds_the_live_coverage_map_from_the_corpus() {
         let mut donor = Campaign::new(config(1_500).with_seed(0xD0));
         let mut dut = Hart::new(1 << 16);
-        donor.run(&mut dut);
+        donor.resume(&mut dut, CampaignReport::default());
         let donor_entries = donor.corpus().entries().to_vec();
 
         let fast = config(3_000).with_schedule(PowerSchedule::Fast);
@@ -1048,8 +1040,11 @@ mod tests {
                 live.prime(&donor_entries);
             }
             let report = match scenario {
-                Some(scenario) => live.run(&mut MutantHart::new(1 << 16, scenario)),
-                None => live.run(&mut Hart::new(1 << 16)),
+                Some(scenario) => live.resume(
+                    &mut MutantHart::new(1 << 16, scenario),
+                    CampaignReport::default(),
+                ),
+                None => live.resume(&mut Hart::new(1 << 16), CampaignReport::default()),
             };
             assert!(report.unique_trap_sets > 1, "{label}: too little coverage");
             let restored = Campaign::restore(config, &live.freeze(&report)).unwrap();
@@ -1066,7 +1061,7 @@ mod tests {
     fn resume_rejects_a_different_dut() {
         let mut campaign = Campaign::new(config(500));
         let mut golden = Hart::new(1 << 16);
-        let report = campaign.run(&mut golden);
+        let report = campaign.resume(&mut golden, CampaignReport::default());
         let mut mutant = MutantHart::new(1 << 16, BugScenario::B2ReservedRounding);
         let mut resumed = Campaign::new(config(1_000));
         resumed.resume(&mut mutant, report);
@@ -1076,7 +1071,7 @@ mod tests {
     fn priming_installs_seeds_and_their_coverage() {
         let mut donor = Campaign::new(config(1_500));
         let mut dut = Hart::new(1 << 16);
-        let donor_report = donor.run(&mut dut);
+        let donor_report = donor.resume(&mut dut, CampaignReport::default());
         assert!(donor_report.corpus_size > 0);
 
         let mut primed = Campaign::new(CampaignConfig {
@@ -1090,7 +1085,7 @@ mod tests {
         assert_eq!(primed.coverage.unique(), donor_report.unique_traces);
 
         let mut dut = Hart::new(1 << 16);
-        let report = primed.run(&mut dut);
+        let report = primed.resume(&mut dut, CampaignReport::default());
         assert!(report.is_clean());
         assert!(
             report.corpus_size >= admitted,
@@ -1103,7 +1098,7 @@ mod tests {
         let run = || {
             let mut campaign = Campaign::new(config(1_000));
             let mut dut = Hart::new(1 << 16);
-            let report = campaign.run(&mut dut);
+            let report = campaign.resume(&mut dut, CampaignReport::default());
             (report.programs, report.steps_executed, report.unique_traces)
         };
         assert_eq!(run(), run());
@@ -1117,7 +1112,7 @@ mod tests {
         let run = |window: u64| {
             let mut campaign = Campaign::new(config(2_000).with_window(window));
             let mut dut = MutantHart::new(1 << 16, BugScenario::B2ReservedRounding);
-            let report = campaign.run(&mut dut);
+            let report = campaign.resume(&mut dut, CampaignReport::default());
             let entries = campaign.corpus().entries().to_vec();
             (report, entries)
         };
@@ -1136,11 +1131,11 @@ mod tests {
         let full_config = config(2_000).with_window(1);
         let mut uninterrupted = Campaign::new(full_config.clone());
         let mut dut = Hart::new(1 << 16);
-        let full = uninterrupted.run(&mut dut);
+        let full = uninterrupted.resume(&mut dut, CampaignReport::default());
 
         let mut first = Campaign::new(config(1_000).with_window(32));
         let mut dut = Hart::new(1 << 16);
-        let half = first.run(&mut dut);
+        let half = first.resume(&mut dut, CampaignReport::default());
         let frozen = first.freeze(&half);
 
         let mut second = Campaign::restore(full_config, &frozen).unwrap();

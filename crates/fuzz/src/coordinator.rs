@@ -27,11 +27,12 @@
 //! admitted where they lie, at the end of the worker's corpus, and
 //! merges them into the global corpus **in worker-id order** — so one
 //! worker's discovery reshapes every other worker's power-schedule
-//! energies while the campaign runs, deterministically. Only admitted
-//! seeds are copied, and an autosave freezes the live workers
-//! directly. Worker 0 runs on the calling thread and every other worker
-//! on one thread that lives for the whole run, so a jobs-1 campaign
-//! starts no thread at all.
+//! energies while the campaign runs, deterministically. Admission,
+//! priming and freezing share each seed's program instead of copying
+//! it, and an autosave freezes the live workers directly. Worker 0 runs
+//! on the calling thread and every other worker on one thread that
+//! lives for the whole run, so a jobs-1 campaign starts no thread at
+//! all.
 //!
 //! # Determinism rules
 //!
@@ -896,10 +897,8 @@ impl<'a> CampaignDriver<'a> {
                     budget,
                 },
             );
-            // Free the file's seeds before the workers copy their corpora.
-            let file = loaded.take().expect("resume loads a file");
+            let file = loaded.as_ref().expect("resume loads a file");
             state.global.merge_entries(&file.entries);
-            drop(file);
             state.autosave_ordinal = checkpoint.autosave_ordinal;
             state.batches_completed = checkpoint.batches_completed;
             state.rounds_completed = checkpoint.rounds_completed;
@@ -1164,15 +1163,15 @@ mod tests {
     #[test]
     fn one_worker_is_bit_identical_to_the_plain_campaign() {
         // The tentpole invariant: coordinated jobs=1 — rounds, echo
-        // broadcasts and all — reproduces Campaign::run bit for bit.
+        // broadcasts and all — reproduces the plain campaign bit for bit.
         let mut campaign = Campaign::new(config(3_000));
         let mut dut = MutantHart::new(1 << 16, BugScenario::B2ReservedRounding);
-        let plain = campaign.run(&mut dut);
+        let plain = campaign.resume(&mut dut, CampaignReport::default());
 
         let outcome = CampaignDriver::new(config(3_000))
             .run(|_| Ok(MutantHart::new(1 << 16, BugScenario::B2ReservedRounding)))
             .unwrap();
-        assert_eq!(outcome.report, plain, "driver drifted from Campaign::run");
+        assert_eq!(outcome.report, plain, "driver drifted from the campaign");
         assert_eq!(outcome.corpus, campaign.corpus().entries());
         assert_eq!(outcome.foreign_admitted, 0, "echo broadcasts admit nothing");
     }
@@ -1224,6 +1223,31 @@ mod tests {
             )
         };
         assert_eq!(run(), run(), "jobs=4 reran differently");
+    }
+
+    #[test]
+    fn every_holder_of_a_seed_shares_one_copy_of_its_program() {
+        for jobs in [1, 4] {
+            let outcome = CampaignDriver::new(config(8_000))
+                .with_jobs(jobs)
+                .run(|_| Ok(Hart::new(1 << 16)))
+                .unwrap();
+            // The program the lowest-id worker holds for each key.
+            let mut held = HashMap::new();
+            for stream in &outcome.checkpoint().workers {
+                for entry in &stream.campaign.entries {
+                    held.entry(entry.coverage_key()).or_insert(&entry.program);
+                }
+            }
+            assert!(outcome.corpus.len() > 100, "jobs {jobs}: too few seeds");
+            for seed in &outcome.corpus {
+                let program = held[&seed.coverage_key()];
+                assert!(
+                    Arc::ptr_eq(&seed.program, program),
+                    "jobs {jobs}: a seed's program was copied"
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,20 +22,20 @@
 //! memory only; it is rebuilt when the schedule changes and never
 //! persisted.
 //!
-//! A corpus also outlives the process: [`Corpus::save`] writes the
-//! entries to the versioned on-disk format of the [`persist`] module
-//! (atomically — temp file plus rename) and [`Corpus::load`] reads them
-//! back, skipping corrupt entries, so campaigns can resume and seeds can
-//! cross-pollinate between runs.
+//! A corpus also outlives the process: [`persist::save_entries`] writes
+//! its entries to the versioned on-disk format (atomically — temp file
+//! plus rename) and [`persist::load_file`] reads them back, skipping
+//! corrupt entries, so campaigns can resume and seeds can cross-pollinate
+//! between runs.
 //!
-//! [`persist`]: crate::persist
+//! [`persist::save_entries`]: crate::persist::save_entries
+//! [`persist::load_file`]: crate::persist::load_file
 
-use std::path::Path;
+use std::sync::Arc;
 
 use tf_riscv::Instruction;
 
 use crate::generator::ProgramGenerator;
-use crate::persist::{self, LoadReport, PersistError};
 use crate::rng::SplitMix64;
 use crate::schedule::PowerSchedule;
 
@@ -60,8 +60,9 @@ pub struct SeedCalibration {
 /// One saved program and the coverage keys that made it interesting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeedEntry {
-    /// The program, `ebreak`-terminated.
-    pub program: Vec<Instruction>,
+    /// The program, `ebreak`-terminated. Shared, not copied, by every
+    /// corpus, checkpoint and outcome that holds the seed.
+    pub program: Arc<[Instruction]>,
     /// Digest of the reference execution trace it produced.
     pub trace_digest: u64,
     /// Trap-cause bitmask of the run (the coarse secondary coverage key).
@@ -195,7 +196,7 @@ impl Corpus {
     }
 
     /// Record a program, the coverage keys it earned and its calibration
-    /// record. The program is cloned here — on the rare admission path —
+    /// record. The program is copied here — on the rare admission path —
     /// so the campaign hot loop can keep reusing its program buffer.
     pub fn add(
         &mut self,
@@ -206,7 +207,7 @@ impl Corpus {
     ) {
         self.keys.insert((trace_digest, trap_causes));
         self.push(SeedEntry {
-            program: program.to_vec(),
+            program: program.into(),
             trace_digest,
             trap_causes,
             calibration,
@@ -277,37 +278,6 @@ impl Corpus {
     #[must_use]
     pub fn into_entries(self) -> Vec<SeedEntry> {
         self.entries
-    }
-
-    /// Write the corpus to `path` in the versioned on-disk format
-    /// ([`persist::save_entries`]): atomic temp-file-plus-rename, so a
-    /// crash mid-save never clobbers an existing corpus.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures from the underlying filesystem.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        persist::save_entries(path, &self.entries)
-    }
-
-    /// Load a corpus from `path`, with a fresh mutation stream seeded by
-    /// `seed`. Corrupt entries are skipped (counted in the returned
-    /// [`LoadReport`]); a bad header — wrong magic, unsupported format
-    /// version, or a digest-scheme fingerprint mismatch — rejects the
-    /// whole file instead of silently mis-replaying stale digests.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PersistError`] for I/O failures and header mismatches.
-    pub fn load(path: &Path, seed: u64) -> Result<(Self, LoadReport), PersistError> {
-        let loaded = persist::load_file(path)?;
-        let corpus = Corpus {
-            keys: loaded.entries.iter().map(SeedEntry::coverage_key).collect(),
-            entries: loaded.entries,
-            rng: SplitMix64::new(seed),
-            index: None,
-        };
-        Ok((corpus, loaded.report))
     }
 
     /// The current state of the mutation-scheduling RNG (for campaign
@@ -617,7 +587,7 @@ mod tests {
     fn fresh_entry(rng: &mut SplitMix64, key: &mut u64) -> SeedEntry {
         *key += 1;
         SeedEntry {
-            program: vec![addi(1, 1), addi(2, 2), ebreak()],
+            program: [addi(1, 1), addi(2, 2), ebreak()].into(),
             trace_digest: *key,
             trap_causes: 0,
             calibration: calibration(rng),

@@ -92,18 +92,6 @@ impl CoverageMap {
         self.trap_sets.len()
     }
 
-    /// Number of distinct pc-transition-pair folds seen.
-    #[must_use]
-    pub fn unique_pc_pairs(&self) -> usize {
-        self.pc_pairs.len()
-    }
-
-    /// Number of distinct opcode-class histogram folds seen.
-    #[must_use]
-    pub fn unique_op_classes(&self) -> usize {
-        self.op_classes.len()
-    }
-
     /// The observed pc-transition-pair folds in sorted order.
     #[must_use]
     pub fn pc_pairs_sorted(&self) -> Vec<u64> {

@@ -19,8 +19,8 @@
 //! exists to flag.
 
 use tf_riscv::{
-    csr, BranchOffset, Format, Fpr, Gpr, Instruction, InstructionLibrary, JumpOffset,
-    LibraryConfig, Opcode, Reg, RoundingMode,
+    csr, BranchOffset, Format, Fpr, Gpr, Instruction, InstructionLibrary, JumpOffset, Opcode, Reg,
+    RoundingMode,
 };
 
 use crate::rng::SplitMix64;
@@ -74,12 +74,6 @@ impl ProgramGenerator {
             rng: SplitMix64::new(seed),
             live: Vec::with_capacity(LIVE_WINDOW),
         }
-    }
-
-    /// The underlying library's configuration.
-    #[must_use]
-    pub fn library_config(&self) -> &LibraryConfig {
-        self.library.config()
     }
 
     /// The generator's two RNG stream positions: its own decision stream
@@ -273,7 +267,7 @@ impl ProgramGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tf_riscv::Extension;
+    use tf_riscv::{Extension, LibraryConfig};
 
     fn generator(seed: u64) -> ProgramGenerator {
         ProgramGenerator::new(InstructionLibrary::new(LibraryConfig::all(), seed), seed)

@@ -46,9 +46,9 @@
 //!   version and the
 //!   [`digest stability fingerprint`](tf_arch::digest::STABILITY_FINGERPRINT)
 //!   so stale corpora are rejected, per-record checksums so corrupt
-//!   entries are skipped, and atomic writes. [`Corpus::save`],
-//!   [`Corpus::load`] and the driver's `with_corpus`/`with_resume` are
-//!   the high-level doors; together they make campaigns resumable
+//!   entries are skipped, and atomic writes. [`persist::save_entries`],
+//!   [`persist::load_file`] and the driver's `with_corpus`/`with_resume`
+//!   are the doors; together they make campaigns resumable
 //!   (`tf-cli fuzz --corpus C --resume` is bit-identical to an
 //!   uninterrupted run) and corpora shareable between runs.
 //! * [`proto`] / [`remote`] / [`mod@serve`] — the out-of-process DUT

@@ -300,8 +300,8 @@ pub struct CampaignState {
 // ---- byte-level helpers ------------------------------------------------
 
 /// Append-only little-endian byte sink. Shared with the remote-DUT wire
-/// protocol ([`crate::proto`]), which frames its messages with the same
-/// byte-level idiom as on-disk records.
+/// protocol ([`crate::proto`]), whose messages are framed as on-disk
+/// records.
 #[derive(Default)]
 pub(crate) struct Cursor {
     pub(crate) bytes: Vec<u8>,
@@ -385,7 +385,7 @@ fn write_seed(entry: &SeedEntry) -> Vec<u8> {
     c.u64(entry.trace_digest);
     c.u64(entry.trap_causes);
     c.u32(entry.program.len() as u32);
-    for insn in &entry.program {
+    for insn in entry.program.iter() {
         c.u32(insn.encode_lossy());
     }
     // v3: the calibration record that power schedules turn into energy.
@@ -421,7 +421,7 @@ fn read_seed(payload: &[u8]) -> Option<SeedEntry> {
         children: s.u64()?,
     };
     s.exhausted().then_some(SeedEntry {
-        program,
+        program: program.into(),
         trace_digest,
         trap_causes,
         calibration,
@@ -452,6 +452,33 @@ pub(crate) fn read_trap(code: u64, tval: u64) -> Option<Trap> {
     })
 }
 
+/// One step's outcome: `0` and the retired instruction's word, or `1`
+/// and the trap. Trace entries embed it, and so do the wire protocol's
+/// step replies.
+pub(crate) fn write_outcome(c: &mut Cursor, outcome: &StepOutcome) {
+    match outcome {
+        StepOutcome::Retired(insn) => {
+            c.u8(0);
+            c.u32(insn.encode_lossy());
+        }
+        StepOutcome::Trapped(trap) => {
+            c.u8(1);
+            write_trap(c, trap);
+        }
+    }
+}
+
+/// Inverse of [`write_outcome`].
+pub(crate) fn read_outcome(s: &mut Slice) -> Option<StepOutcome> {
+    Some(if s.u8()? == 0 {
+        StepOutcome::Retired(Instruction::decode(s.u32()?).ok()?)
+    } else {
+        let code = s.u64()?;
+        let tval = s.u64()?;
+        StepOutcome::Trapped(read_trap(code, tval)?)
+    })
+}
+
 pub(crate) fn write_trace_entry(c: &mut Cursor, entry: Option<&TraceEntry>) {
     let Some(entry) = entry else {
         c.u8(0);
@@ -466,16 +493,7 @@ pub(crate) fn write_trace_entry(c: &mut Cursor, entry: Option<&TraceEntry>) {
             c.u32(word);
         }
     }
-    match &entry.outcome {
-        StepOutcome::Retired(insn) => {
-            c.u8(0);
-            c.u32(insn.encode_lossy());
-        }
-        StepOutcome::Trapped(trap) => {
-            c.u8(1);
-            write_trap(c, trap);
-        }
-    }
+    write_outcome(c, &entry.outcome);
     match entry.def {
         None => c.u8(0),
         Some((reg, value)) => {
@@ -493,13 +511,7 @@ pub(crate) fn read_trace_entry(s: &mut Slice) -> Option<Option<TraceEntry>> {
     }
     let pc = s.u64()?;
     let word = if s.u8()? == 0 { None } else { Some(s.u32()?) };
-    let outcome = if s.u8()? == 0 {
-        StepOutcome::Retired(Instruction::decode(s.u32()?).ok()?)
-    } else {
-        let code = s.u64()?;
-        let tval = s.u64()?;
-        StepOutcome::Trapped(read_trap(code, tval)?)
-    };
+    let outcome = read_outcome(s)?;
     let def = if s.u8()? == 0 {
         None
     } else {
@@ -775,7 +787,9 @@ fn read_checkpoint(payload: &[u8], seeds: &[SeedEntry]) -> Option<CampaignCheckp
 
 // ---- file-level save / load -------------------------------------------
 
-fn write_record(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
+/// Append one `tag · len · frame-check · payload · checksum` frame to
+/// `out`: a corpus record here, a message in [`crate::proto`].
+pub(crate) fn write_record(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
     let len = payload.len() as u32;
     out.push(tag);
     out.extend_from_slice(&len.to_le_bytes());
@@ -960,7 +974,7 @@ mod tests {
 
     fn entry(words: &[Instruction], digest: u64, traps: u64) -> SeedEntry {
         SeedEntry {
-            program: words.to_vec(),
+            program: words.into(),
             trace_digest: digest,
             trap_causes: traps,
             calibration: SeedCalibration::default(),

@@ -6,8 +6,8 @@
 //! exchanges exactly one `Run` frame (and one `BatchOutcome` reply) per
 //! generated program, never a step-at-a-time RPC — per-step requests
 //! (`Step`, `Digest`) exist only for exact divergence replay, which the
-//! windowed engine enters rarely. Framing reuses the corpus format's
-//! byte-level idiom (see [`crate::persist`]): every frame is
+//! windowed engine enters rarely. Every frame is a record frame of the
+//! corpus format, written by the same code (see [`crate::persist`]):
 //!
 //! ```text
 //! tag u8 · payload length u32 · FNV-1a(tag·length) low byte
@@ -33,11 +33,10 @@ use std::io::{ErrorKind, Read, Write};
 
 use tf_arch::digest::STABILITY_FINGERPRINT;
 use tf_arch::{BatchOutcome, RunExit, StepOutcome, TraceEntry, Trap};
-use tf_riscv::Instruction;
 
 use crate::persist::{
-    checksum, frame_check, read_trace_entry, read_trap, write_trace_entry, write_trap, Cursor,
-    Slice,
+    checksum, frame_check, read_outcome, read_trace_entry, read_trap, write_outcome, write_record,
+    write_trace_entry, write_trap, Cursor, Slice,
 };
 
 /// Wire-protocol version. Bumped on any frame-layout change; both sides
@@ -174,12 +173,13 @@ impl std::error::Error for WireError {}
 
 // ---- frame layer -------------------------------------------------------
 
+/// Send one frame — the corpus format's record frame — in a single
+/// write, then flush.
 fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(&[tag])?;
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&[frame_check(tag, payload.len() as u32)])?;
-    w.write_all(payload)?;
-    w.write_all(&checksum(payload).to_le_bytes())?;
+    // Six header bytes and an eight-byte checksum around the payload.
+    let mut frame = Vec::with_capacity(payload.len() + 14);
+    write_record(&mut frame, tag, payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -311,29 +311,6 @@ pub fn read_request(r: &mut impl Read) -> Result<Request, WireError> {
 
 // ---- response serialization -------------------------------------------
 
-fn write_step_outcome(c: &mut Cursor, outcome: &StepOutcome) {
-    match outcome {
-        StepOutcome::Retired(insn) => {
-            c.u8(0);
-            c.u32(insn.encode_lossy());
-        }
-        StepOutcome::Trapped(trap) => {
-            c.u8(1);
-            write_trap(c, trap);
-        }
-    }
-}
-
-fn read_step_outcome(s: &mut Slice) -> Option<StepOutcome> {
-    Some(if s.u8()? == 0 {
-        StepOutcome::Retired(Instruction::decode(s.u32()?).ok()?)
-    } else {
-        let code = s.u64()?;
-        let tval = s.u64()?;
-        StepOutcome::Trapped(read_trap(code, tval)?)
-    })
-}
-
 fn write_exit(c: &mut Cursor, exit: &RunExit) {
     match exit {
         RunExit::Breakpoint { steps } => {
@@ -402,7 +379,7 @@ pub fn write_response(w: &mut impl Write, response: &Response) -> std::io::Resul
             TAG_RSP_BATCH
         }
         Response::Stepped(outcome) => {
-            write_step_outcome(&mut c, outcome);
+            write_outcome(&mut c, outcome);
             TAG_RSP_STEPPED
         }
         Response::Digested(digest) => {
@@ -472,7 +449,7 @@ pub fn read_response(r: &mut impl Read) -> Result<Response, WireError> {
                 op_classes,
             })
         }
-        TAG_RSP_STEPPED => Response::Stepped(read_step_outcome(&mut s).ok_or_else(garbled)?),
+        TAG_RSP_STEPPED => Response::Stepped(read_outcome(&mut s).ok_or_else(garbled)?),
         TAG_RSP_DIGESTED => Response::Digested(s.u64().ok_or_else(garbled)?),
         TAG_RSP_TRACE => {
             if s.u8().ok_or_else(garbled)? == 0 {
@@ -524,12 +501,12 @@ pub fn check_handshake(version: u32, fingerprint: u64) -> Result<(), String> {
 ///
 /// Propagates stream failures.
 pub fn write_garbled_frame(w: &mut impl Write) -> std::io::Result<()> {
-    let payload = b"chaos";
-    w.write_all(&[TAG_RSP_OK])?;
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&[frame_check(TAG_RSP_OK, payload.len() as u32)])?;
-    w.write_all(payload)?;
-    // Off-by-one checksum: the frame header parses, the payload does not.
-    w.write_all(&(checksum(payload) ^ 1).to_le_bytes())?;
+    let mut frame = Vec::new();
+    write_record(&mut frame, TAG_RSP_OK, b"chaos");
+    // Off-by-one checksum (its low byte comes first): the frame header
+    // parses, the payload does not.
+    let checksum_at = frame.len() - 8;
+    frame[checksum_at] ^= 1;
+    w.write_all(&frame)?;
     w.flush()
 }

@@ -37,14 +37,6 @@ pub struct ChaosConfig {
     pub garble_after: Option<u64>,
 }
 
-impl ChaosConfig {
-    /// True when no fault is scheduled.
-    #[must_use]
-    pub fn is_quiet(&self) -> bool {
-        self.crash_after.is_none() && self.hang_after.is_none() && self.garble_after.is_none()
-    }
-}
-
 /// How a [`serve`] session ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeOutcome {

@@ -49,12 +49,12 @@ fn generated_corpora_round_trip_exactly() {
             );
         }
         let path = temp_path(&format!("roundtrip-{seed}.tfc"));
-        corpus.save(&path).unwrap();
-        let (loaded, report) = Corpus::load(&path, seed).unwrap();
-        assert_eq!(loaded.entries(), corpus.entries(), "seed {seed}");
-        assert_eq!(report.loaded, 32);
-        assert_eq!(report.skipped, 0);
-        assert!(!report.truncated);
+        persist::save_entries(&path, corpus.entries()).unwrap();
+        let loaded = persist::load_file(&path).unwrap();
+        assert_eq!(loaded.entries, corpus.entries(), "seed {seed}");
+        assert_eq!(loaded.report.loaded, 32);
+        assert_eq!(loaded.report.skipped, 0);
+        assert!(!loaded.report.truncated);
         std::fs::remove_file(&path).unwrap();
     }
 }
@@ -62,15 +62,14 @@ fn generated_corpora_round_trip_exactly() {
 #[test]
 fn header_rejection_is_loud_not_silent() {
     let path = temp_path("rejection.tfc");
-    let corpus = Corpus::new(1);
-    corpus.save(&path).unwrap();
+    persist::save_entries(&path, &[]).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
 
     // Version drift.
     bytes[8] = 99;
     std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(
-        Corpus::load(&path, 1),
+        persist::load_file(&path),
         Err(PersistError::UnsupportedVersion { found: 99 })
     ));
 
@@ -79,14 +78,14 @@ fn header_rejection_is_loud_not_silent() {
     bytes[12] ^= 0xA5;
     std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(
-        Corpus::load(&path, 1),
+        persist::load_file(&path),
         Err(PersistError::FingerprintMismatch { .. })
     ));
 
     // Not a corpus at all.
     std::fs::write(&path, b"definitely not a corpus file").unwrap();
     assert!(matches!(
-        Corpus::load(&path, 1),
+        persist::load_file(&path),
         Err(PersistError::BadMagic)
     ));
 
@@ -102,18 +101,18 @@ fn truncation_and_corruption_salvage_the_rest() {
         corpus.add(&generator.generate(8), i, 0, SeedCalibration::default());
     }
     let path = temp_path("salvage.tfc");
-    corpus.save(&path).unwrap();
+    persist::save_entries(&path, corpus.entries()).unwrap();
     let pristine = std::fs::read(&path).unwrap();
 
     // Chop the file mid-record: a prefix of entries survives.
     std::fs::write(&path, &pristine[..pristine.len() - 17]).unwrap();
-    let (loaded, report) = Corpus::load(&path, 9).unwrap();
-    assert!(report.truncated);
-    assert_eq!(loaded.len(), report.loaded);
-    assert!(report.loaded >= 8, "only the cut tail may be lost");
+    let loaded = persist::load_file(&path).unwrap();
+    assert!(loaded.report.truncated);
+    assert_eq!(loaded.entries.len(), loaded.report.loaded);
+    assert!(loaded.report.loaded >= 8, "only the cut tail may be lost");
     assert_eq!(
-        loaded.entries(),
-        &corpus.entries()[..loaded.len()],
+        loaded.entries,
+        &corpus.entries()[..loaded.entries.len()],
         "surviving prefix is intact"
     );
 
@@ -125,11 +124,12 @@ fn truncation_and_corruption_salvage_the_rest() {
     let mid = corrupt.len() / 2;
     corrupt[mid] ^= 0xFF;
     std::fs::write(&path, &corrupt).unwrap();
-    let (loaded, report) = Corpus::load(&path, 9).unwrap();
+    let loaded = persist::load_file(&path).unwrap();
+    let report = loaded.report;
     assert!(report.skipped >= 1 || report.truncated);
     assert!(report.loaded >= 4, "at least the prefix must be salvaged");
     assert!(report.loaded + report.skipped <= 10);
-    for entry in loaded.entries() {
+    for entry in &loaded.entries {
         assert!(corpus.entries().contains(entry), "no invented entries");
     }
 
@@ -238,7 +238,7 @@ fn resume_through_the_file_is_bit_identical_under_a_feedback_schedule() {
 #[test]
 fn merge_entries_dedups_by_coverage_key() {
     let entry = |digest: u64, traps: u64| SeedEntry {
-        program: vec![tf_riscv::Instruction::nop()],
+        program: [tf_riscv::Instruction::nop()].into(),
         trace_digest: digest,
         trap_causes: traps,
         calibration: SeedCalibration::default(),

@@ -113,6 +113,64 @@ fn every_response_kind_round_trips_exactly() {
     }
 }
 
+/// Counts `write` calls and keeps what they wrote.
+#[derive(Default)]
+struct CountingWriter {
+    writes: usize,
+    bytes: Vec<u8>,
+}
+
+impl std::io::Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A frame is a corpus-format record frame, and it reaches the stream
+/// in one write: after a corpus header, `persist` reads it back as one
+/// intact record carrying the message's payload.
+#[test]
+fn a_frame_is_one_corpus_record_sent_in_one_write() {
+    let mut request = CountingWriter::default();
+    let run = Request::Run {
+        max_steps: 4096,
+        digest_every: 16,
+    };
+    write_request(&mut request, &run).unwrap();
+    let run_payload = [4096u64.to_le_bytes(), 16u64.to_le_bytes()].concat();
+
+    let mut response = CountingWriter::default();
+    let trap = Trap::Breakpoint { addr: 0x44 };
+    write_response(
+        &mut response,
+        &Response::Stepped(StepOutcome::Trapped(trap)),
+    )
+    .unwrap();
+    let mut stepped_payload = vec![1];
+    stepped_payload.extend_from_slice(&trap.cause().code().to_le_bytes());
+    stepped_payload.extend_from_slice(&0x44u64.to_le_bytes());
+
+    for (frame, payload) in [(request, run_payload), (response, stepped_payload)] {
+        assert_eq!(frame.writes, 1, "{:02x?}", frame.bytes);
+        // tag · length · frame check · payload · checksum
+        assert_eq!(frame.bytes[1..5], (payload.len() as u32).to_le_bytes());
+        assert_eq!(frame.bytes[6..frame.bytes.len() - 8], payload);
+        let mut file = persist::MAGIC.to_vec();
+        file.extend_from_slice(&persist::FORMAT_VERSION.to_le_bytes());
+        file.extend_from_slice(&STABILITY_FINGERPRINT.to_le_bytes());
+        file.extend_from_slice(&frame.bytes);
+        let report = persist::load_bytes(&file).unwrap().report;
+        assert_eq!((report.unknown, report.skipped), (1, 0), "{report:?}");
+        assert!(!report.truncated, "{report:?}");
+    }
+}
+
 #[test]
 fn truncated_and_corrupted_frames_are_garbled_not_misparsed() {
     let mut wire = Vec::new();

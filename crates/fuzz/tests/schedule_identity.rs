@@ -39,7 +39,7 @@ fn fingerprint(outcome: &DriveOutcome) -> u64 {
     let mut acc = fold_bytes(FNV_OFFSET, outcome.report.to_string().as_bytes());
     for entry in &outcome.corpus {
         acc = fold_u64(acc, entry.program.len() as u64);
-        for insn in &entry.program {
+        for insn in entry.program.iter() {
             acc = fold_u64(
                 acc,
                 u64::from(insn.encode().expect("corpus programs encode")),

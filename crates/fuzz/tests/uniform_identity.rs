@@ -40,7 +40,7 @@ fn fold_campaign(mut acc: u64, outcome: &DriveOutcome) -> u64 {
     acc = fold_bytes(acc, outcome.report.to_string().as_bytes());
     for entry in &outcome.corpus {
         acc = fold_u64(acc, entry.program.len() as u64);
-        for insn in &entry.program {
+        for insn in entry.program.iter() {
             acc = fold_u64(
                 acc,
                 u64::from(insn.encode().expect("corpus programs encode")),

@@ -436,13 +436,6 @@ impl Opcode {
             )
     }
 
-    /// True when the instruction writes memory through the `rs1` base
-    /// register (integer and FP stores, excluding atomics).
-    #[must_use]
-    pub fn is_store(self) -> bool {
-        matches!(self.format(), Format::S | Format::FpStore)
-    }
-
     /// True when the destination register is a floating-point register.
     #[must_use]
     pub fn rd_is_fpr(self) -> bool {
