@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The end-to-end gates of a release `tf-cli`: detection verdicts, byte
-# identity across reruns, resumes, windows and the process boundary,
-# chaos robustness, the coordinator, and closed output pipes.
+# identity across reruns, resumes and the process boundary, chaos
+# robustness, the coordinator, and closed output pipes.
 #
 #   cargo build --release -p tf-cli && ci/gates.sh target/release/tf-cli
 #
@@ -89,25 +89,17 @@ twin() {
     cmp "$name-a/$name.tfc" "$name-b/$name.tfc"
 }
 
-# Detection: every planted scenario is found, in process, windowed and
-# sharded, and the golden hart stays clean.
+# Detection: every planted scenario is found, in process and sharded,
+# and the golden hart stays clean.
 expect --seed 1 --steps 1000 --mutant b2 --expect divergence
 for m in imm fflags csrmask btrunc ldsext; do
     expect --seed 1 --steps 3000 --mutant "$m" --expect divergence
-done
-for m in "${MUTANTS[@]}"; do
-    expect --seed 1 --steps 3000 --window 16 --mutant "$m" --expect divergence
 done
 expect --seed 1 --steps 10000 --expect clean
 for m in "${MUTANTS[@]}"; do
     expect --seed 1 --steps 12000 --jobs 4 --mutant "$m" --expect divergence
 done
 expect --seed 1 --steps 12000 --jobs 4 --expect clean
-
-# The window never changes campaign output.
-same window-1 window-64 tfc \
-    -- --seed 5 --steps 5000 --mutant b2 --window 1 --corpus window-1.tfc \
-    -- --seed 5 --steps 5000 --mutant b2 --window 64 --corpus window-64.tfc
 
 # Interrupted and resumed equals uninterrupted, under every schedule.
 # explore moves a seed's energy on almost every draw, so its 40k

@@ -4,10 +4,13 @@
 //! also digests *both* sides' full architectural state. This bench
 //! measures exactly that path with the real `tf_fuzz` machinery:
 //!
-//! * **diff** — `DiffEngine::diff` of the golden hart against itself on
-//!   a chaos workload, reported as ns per lockstep step (two `step`s and
-//!   two digests per step). This is the number the incremental
-//!   `Memory::digest` / cached `ArchState::digest` work moves.
+//! * **diff** — the golden hart diffed against itself on a chaos
+//!   workload, reported as ns per lockstep step: the exact loop
+//!   (`DiffEngine::diff_exact`, two `step`s and two digests per step,
+//!   the number the incremental `Memory::digest` / cached
+//!   `ArchState::digest` work moves) as `diff_ns_per_step`, and the
+//!   end-of-run comparison campaigns run (`DiffEngine::diff`, two
+//!   batched runs and one sample per side) as `lockstep_windowed`.
 //! * **campaign-jobs1 / campaign-jobsN** — whole coordinated campaigns
 //!   (generation, lockstep diffing, coverage, corpus) driven through
 //!   `CampaignDriver`, reported as aggregate steps per wall-clock
@@ -25,10 +28,9 @@ mod json;
 use std::hint::black_box;
 use std::time::Instant;
 
-use tf_arch::Hart;
+use tf_arch::{Dut, Hart, Trap};
 use tf_fuzz::{
     CampaignConfig, CampaignDriver, DiffConfig, DiffEngine, DiffVerdict, DEFAULT_SYNC_EVERY,
-    DEFAULT_WINDOW,
 };
 use tf_riscv::{Instruction, InstructionLibrary, LibraryConfig, Opcode};
 
@@ -44,23 +46,21 @@ fn chaos_program(len: usize) -> Vec<Instruction> {
     program
 }
 
-/// Median ns per lockstep step of reference-vs-reference diffing at the
-/// given window. Window 1 is the exhaustive per-step loop; the default
-/// window is the batched path campaigns actually run.
-fn bench_diff(samples: usize, max_steps: u64, window: u64) -> f64 {
+/// One of the engine's two comparisons: [`DiffEngine::diff_exact`] or
+/// [`DiffEngine::diff`].
+type Diff =
+    fn(&DiffEngine, &mut dyn Dut, &mut dyn Dut, &[Instruction]) -> Result<DiffVerdict, Trap>;
+
+/// Median ns per lockstep step of reference-vs-reference diffing with
+/// `diff`, printed under `label`.
+fn bench_diff(samples: usize, max_steps: u64, label: &str, diff: Diff) -> f64 {
     let program = chaos_program(2_048);
-    let engine = DiffEngine::new(
-        DiffConfig::default()
-            .with_max_steps(max_steps)
-            .with_window(window),
-    );
+    let engine = DiffEngine::new(DiffConfig::default().with_max_steps(max_steps));
     let mut reference = Hart::new(MEM_SIZE);
     let mut dut = Hart::new(MEM_SIZE);
     let mut run_once = || {
         let start = Instant::now();
-        let verdict = engine
-            .diff(&mut reference, &mut dut, &program)
-            .expect("program loads");
+        let verdict = diff(&engine, &mut reference, &mut dut, &program).expect("program loads");
         let elapsed = start.elapsed();
         let DiffVerdict::Agree { steps, .. } = black_box(verdict) else {
             panic!("reference diverged from itself");
@@ -72,7 +72,7 @@ fn bench_diff(samples: usize, max_steps: u64, window: u64) -> f64 {
     per_step.sort_by(f64::total_cmp);
     let median = per_step[per_step.len() / 2];
     println!(
-        "diff-w{window:<3} {median:8.1} ns/lockstep-step  (min {:.1}, max {:.1} over {} samples)",
+        "{label:<10} {median:8.1} ns/lockstep-step  (min {:.1}, max {:.1} over {} samples)",
         per_step[0],
         per_step[per_step.len() - 1],
         per_step.len(),
@@ -151,15 +151,15 @@ fn main() {
     };
     let iters = if smoke { 10 } else { 2_000 };
     println!("tf_arch lockstep differential throughput (DiffEngine over Dut)");
-    let diff = bench_diff(samples, max_steps, 1);
-    let windowed = bench_diff(samples, max_steps, DEFAULT_WINDOW);
+    let diff = bench_diff(samples, max_steps, "diff-exact", DiffEngine::diff_exact);
+    let windowed = bench_diff(samples, max_steps, "diff", DiffEngine::diff);
     let (digest_small, _) = bench_digest_resident(8, iters);
     let (digest_large, rescan_large) = bench_digest_resident(512, iters);
     let jobs1 = bench_campaign(1, budget, DEFAULT_SYNC_EVERY);
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let mut entries = vec![
         ("diff_ns_per_step", diff),
-        // The batched path campaigns run by default (window = 16).
+        // The end-of-run comparison campaigns run.
         ("lockstep_windowed", windowed),
         ("digest_ns_resident8", digest_small),
         ("digest_ns_resident512", digest_large),

@@ -21,7 +21,7 @@ use crate::trap::Trap;
 /// digest samples taken along the way.
 ///
 /// Two devices executed the same program equivalently — to the
-/// resolution of the sampling window — iff their outcomes compare
+/// resolution of the digest samples — iff their outcomes compare
 /// equal: same step count, same exit, same trap-cause set and the same
 /// digest sample at every sample point. Backends fill one through a
 /// [`BatchTally`], the only implementation of the fields' folds.
@@ -260,8 +260,8 @@ fn sample<D: Dut + ?Sized>(samples: &mut Vec<u64>, dut: &D, retired: u64) {
 /// next sample point would compare equal there. The write history
 /// ([`Dut::write_history`]) closes it — a cumulative fold of the write
 /// *sequence* never reconverges once two devices first wrote
-/// differently, so any window containing a divergence yields a
-/// mismatching sample and is replayed exactly. The retired count is a
+/// differently, so every later sample, the end-of-run one included,
+/// mismatches and the run is replayed exactly. The retired count is a
 /// cheap extra discriminator for backends whose `write_history` is the
 /// constant default. [`BatchTally`] takes every sample with this fold.
 #[must_use]
@@ -352,9 +352,9 @@ pub struct RemoteDutStats {
 ///   pinned by [`STABILITY_FINGERPRINT`](crate::digest::STABILITY_FINGERPRINT)
 ///   so fingerprints can be compared across processes and recorded in
 ///   corpora.
-/// * [`Dut::run`] executes a whole batch with digests sampled every `k`
-///   steps — the windowed differential loop's contract — and has a
-///   default implementation in terms of [`Dut::step`].
+/// * [`Dut::run`] executes a whole batch — the differential engine's
+///   end-of-run comparison runs each side as one — and has a default
+///   implementation in terms of [`Dut::step`].
 /// * Tracing is opt-in: campaigns that only need end-state digests skip
 ///   the per-step storage.
 pub trait Dut {
@@ -384,12 +384,12 @@ pub trait Dut {
 
     /// Cumulative fingerprint of the *sequence* of architectural writes
     /// since reset — the path-sensitive companion of [`Dut::digest`]
-    /// that batched sampling folds into every sample (see
-    /// [`fold_sample`]). The default returns a constant: correct for
-    /// any backend, but every window diffed against a history-bearing
-    /// reference then mismatches and is replayed step by step, costing
-    /// the windowed speedup. Backends that want the speedup implement
-    /// it as a running fold over their writes, as [`Hart`] does.
+    /// that batched sampling folds into every sample, the end-of-run one
+    /// included (see [`fold_sample`]). The default returns a constant:
+    /// correct for any backend, but every run compared against a
+    /// history-bearing reference then mismatches and is replayed step by
+    /// step. Backends that want one comparison per run implement it as a
+    /// running fold over their writes, as [`Hart`] does.
     fn write_history(&self) -> u64 {
         0
     }
@@ -404,7 +404,7 @@ pub trait Dut {
     /// The pc the next fetch will use. Feeds the pc-pair path-coverage
     /// fold of batched runs ([`BatchOutcome::pc_pairs`]). The default
     /// returns a constant: correct for any backend, but its `pc_pairs`
-    /// fold then degenerates and every window diffed against a
+    /// fold then degenerates and every run compared against a
     /// pc-bearing reference is replayed step by step — the same
     /// graceful degradation as the [`Dut::write_history`] default.
     fn pc(&self) -> u64 {
@@ -437,9 +437,9 @@ pub trait Dut {
     /// `digest_every` steps (`0` disables interior samples; a final
     /// sample is always taken after the last step).
     ///
-    /// This is the contract windowed differential comparison drives: the
-    /// engine runs reference and DUT each as one batch and compares the
-    /// returned [`BatchOutcome`]s instead of digesting after every step.
+    /// This is the contract the differential engine drives: it runs
+    /// reference and DUT each as one batch and compares the returned
+    /// [`BatchOutcome`]s once, at the end, instead of after every step.
     /// Convenience wrapper over [`Dut::run_into`], which is the method
     /// backends override.
     fn run(&mut self, max_steps: u64, digest_every: u64) -> BatchOutcome {

@@ -224,18 +224,17 @@ impl MutantHart {
     }
 
     /// Dropped fflags: restore the pre-step `fflags` after any retired
-    /// F/D-extension instruction, as if the accrual wires were cut.
+    /// F/D-extension instruction that changed it, as if the accrual
+    /// wires were cut. Rewriting an unchanged value would log a write.
     fn step_dropped_fflags(&mut self) -> StepOutcome {
-        let before = self
-            .hart
-            .state()
-            .csrs()
-            .read(csr::FFLAGS)
-            .expect("fflags exists");
+        let before = self.hart.state().csrs().read(csr::FFLAGS);
         let outcome = self.hart.step();
         if let StepOutcome::Retired(insn) = outcome {
-            if matches!(insn.opcode().extension(), Extension::F | Extension::D) {
-                let csrs = self.hart.state_mut().csrs_mut();
+            let csrs = self.hart.state_mut().csrs_mut();
+            if matches!(insn.opcode().extension(), Extension::F | Extension::D)
+                && csrs.read(csr::FFLAGS) != before
+            {
+                let before = before.expect("fflags exists");
                 csrs.write(csr::FFLAGS, before).expect("fflags is writable");
             }
         }
@@ -542,6 +541,25 @@ mod tests {
         assert_eq!(mutant.hart().state().csrs().read(csr::FFLAGS), Some(0));
         // The quotient itself is still computed correctly.
         assert_eq!(mutant.hart().state().f32(f(1)), reference.state().f32(f(1)));
+    }
+
+    #[test]
+    fn dropped_fflags_mutant_keeps_the_history_of_a_flag_neutral_fp_op() {
+        // fsgnj.s never raises a flag: the mutant has nothing to drop, so
+        // it must not log a write the reference never made.
+        let program = [
+            Instruction::fp_r_type(Opcode::FsgnjS, f(1), f(2), f(3), None).unwrap(),
+            Instruction::system(Opcode::Ebreak),
+        ];
+        let mut reference = Hart::new(1 << 16);
+        reference.load_program(0, &program).unwrap();
+        let mut mutant = MutantHart::new(1 << 16, BugScenario::DroppedFflags);
+        mutant.load(0, &program).unwrap();
+        assert_eq!(
+            Dut::run(&mut mutant, 10, 0),
+            Dut::run(&mut reference, 10, 0)
+        );
+        assert_eq!(Dut::write_history(&mutant), reference.write_history());
     }
 
     #[test]

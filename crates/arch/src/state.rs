@@ -462,9 +462,9 @@ impl ArchState {
     /// fingerprints the state a device *reached*, the history
     /// fingerprints the path it took — two devices whose states diverged
     /// and then reconverged share a digest but never a history. The
-    /// windowed differential engine folds this into every batch sample
-    /// (see [`fold_sample`](crate::fold_sample)) precisely so transient
-    /// divergences inside a window cannot escape detection. The
+    /// differential engine folds this into every batch sample (see
+    /// [`fold_sample`](crate::fold_sample)) precisely so a transient
+    /// divergence cannot escape its end-of-run comparison. The
     /// free-running counter bumps are excluded, mirroring their
     /// exclusion from the digest.
     #[must_use]
@@ -684,7 +684,7 @@ mod tests {
     #[test]
     fn write_history_is_path_sensitive_where_the_digest_is_not() {
         // Two states that diverge and reconverge share a digest but
-        // never a history — the property windowed sampling relies on.
+        // never a history — the property end-of-run sampling relies on.
         let mut a = ArchState::new();
         let b = ArchState::new();
         assert_eq!(a.write_history(), b.write_history());

@@ -1,11 +1,16 @@
 //! Flag parsing for `tf-cli`, dependency-free by design.
 
 use tf_arch::BugScenario;
-use tf_fuzz::{PowerSchedule, DEFAULT_WINDOW};
+use tf_fuzz::PowerSchedule;
 
 /// Usage text for `--help` and parse failures.
 pub const USAGE: &str = "\
 tf-cli — TurboFuzz differential fuzzing campaigns
+
+Every generated program runs on the device under test and on the golden
+reference hart. The two runs are compared once, at the end; a program
+whose runs differ is replayed step by step to report the first
+diverging instruction.
 
 USAGE:
     tf-cli fuzz [OPTIONS]
@@ -18,10 +23,6 @@ FUZZ OPTIONS:
     --seed <N>        campaign seed (default 0)
     --steps <M>       generated-instruction budget (default 10000)
     --len <L>         instructions per program, incl. ebreak (default 32)
-    --window <K>      lockstep window: compare digests every K steps and
-                      replay a window exactly when it mismatches; the
-                      reported divergences are bit-identical at every K
-                      (default 16; 1 compares after every step)
     --jobs <J>        worker threads; the budget is sharded across
                       seed-disjoint campaigns coordinated around one
                       shared corpus — novel seeds are admitted centrally
@@ -122,8 +123,6 @@ pub struct FuzzArgs {
     pub steps: u64,
     /// Program length.
     pub len: usize,
-    /// Lockstep window: digest-compare cadence in steps.
-    pub window: u64,
     /// Worker threads to shard the budget across.
     pub jobs: usize,
     /// Corpus power schedule.
@@ -152,7 +151,6 @@ impl Default for FuzzArgs {
             seed: 0,
             steps: 10_000,
             len: 32,
-            window: DEFAULT_WINDOW,
             jobs: 1,
             schedule: PowerSchedule::Uniform,
             mutant: None,
@@ -194,12 +192,6 @@ impl FuzzArgs {
                     args.len = parse_int(&value("--len")?, "--len")? as usize;
                     if args.len == 0 {
                         return Err("`--len` must be positive".into());
-                    }
-                }
-                "--window" => {
-                    args.window = parse_int(&value("--window")?, "--window")?;
-                    if args.window == 0 {
-                        return Err("`--window` must be positive".into());
                     }
                 }
                 "--jobs" => {
@@ -470,8 +462,6 @@ mod tests {
             "1000",
             "--len",
             "16",
-            "--window",
-            "8",
             "--jobs",
             "4",
             "--schedule",
@@ -485,7 +475,6 @@ mod tests {
         assert_eq!(args.seed, 7);
         assert_eq!(args.steps, 1000);
         assert_eq!(args.len, 16);
-        assert_eq!(args.window, 8);
         assert_eq!(args.jobs, 4);
         assert_eq!(args.schedule, PowerSchedule::Fast);
         assert_eq!(args.mutant, Some(BugScenario::B2ReservedRounding));
@@ -672,7 +661,9 @@ mod tests {
         assert!(parse(&["--steps", "x"]).unwrap_err().contains("integer"));
         assert!(parse(&["--steps", "0"]).unwrap_err().contains("positive"));
         assert!(parse(&["--jobs", "0"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--window", "0"]).unwrap_err().contains("positive"));
+        assert!(parse(&["--window", "16"])
+            .unwrap_err()
+            .contains("unknown flag"));
         assert!(parse(&["--frobnicate"])
             .unwrap_err()
             .contains("unknown flag"));

@@ -202,7 +202,6 @@ fn run_fuzz(args: &FuzzArgs) -> ExitCode {
         .with_seed(args.seed)
         .with_instruction_budget(args.steps)
         .with_program_len(args.len)
-        .with_window(args.window)
         .with_schedule(args.schedule);
     // Stderr, not stdout: campaign reports must stay byte-comparable
     // between an in-process `--mutant` run and a `--dut … serve

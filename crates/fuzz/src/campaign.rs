@@ -2,12 +2,13 @@
 //!
 //! One iteration of the loop: obtain a program (freshly generated, or
 //! mutated from a coverage-earning corpus seed), run it differentially
-//! against the device under test with the [`DiffEngine`], then act on
-//! the verdict — new trace coverage earns the program a corpus slot,
-//! and a divergence is minimized to a near-minimal reproducer and
-//! recorded as a bug report. The loop runs until the configured budget
-//! of generated instructions is spent, and the whole campaign is a pure
-//! function of its seed.
+//! against the device under test with the [`DiffEngine`] (one
+//! end-of-run comparison of the two sides, replayed step by step only
+//! when it mismatches), then act on the verdict — new trace coverage
+//! earns the program a corpus slot, and a divergence is minimized to a
+//! near-minimal reproducer and recorded as a bug report. The loop runs
+//! until the configured budget of generated instructions is spent, and
+//! the whole campaign is a pure function of its seed.
 
 use std::collections::HashSet;
 
@@ -17,9 +18,7 @@ use tf_riscv::{Extension, Format, InstructionLibrary, LibraryConfig};
 
 use crate::corpus::{minimize, Corpus, SeedCalibration, SeedEntry};
 use crate::coverage::CoverageMap;
-use crate::diff::{
-    ConfigError, DiffConfig, DiffEngine, DiffScratch, DiffVerdict, Divergence, DEFAULT_WINDOW,
-};
+use crate::diff::{ConfigError, DiffConfig, DiffEngine, DiffScratch, DiffVerdict, Divergence};
 use crate::generator::{GeneratorConfig, ProgramGenerator};
 use crate::persist::CampaignState;
 use crate::rng::SplitMix64;
@@ -41,13 +40,6 @@ pub struct CampaignConfig {
     pub max_steps_per_program: u64,
     /// Device memory size in bytes.
     pub mem_size: u64,
-    /// Load address for generated programs.
-    pub base: u64,
-    /// Differential comparison window ([`DiffConfig::window`]): digests
-    /// are compared every this many lockstep steps, with window
-    /// mismatches localised by exact replay. Reported results are
-    /// bit-identical at every window; only throughput changes.
-    pub window: u64,
     /// Instruction-repository configuration to sample from.
     pub library: LibraryConfig,
     /// Generator tuning.
@@ -66,8 +58,6 @@ impl Default for CampaignConfig {
             program_len: 32,
             max_steps_per_program: 128,
             mem_size: 1 << 20,
-            base: 0,
-            window: DEFAULT_WINDOW,
             library: LibraryConfig::all(),
             generator: GeneratorConfig::default(),
             schedule: PowerSchedule::default(),
@@ -111,13 +101,6 @@ impl CampaignConfig {
         self
     }
 
-    /// This config with `window` replaced.
-    #[must_use]
-    pub fn with_window(mut self, window: u64) -> Self {
-        self.window = window;
-        self
-    }
-
     /// This config with `schedule` replaced.
     #[must_use]
     pub fn with_schedule(mut self, schedule: PowerSchedule) -> Self {
@@ -129,9 +112,7 @@ impl CampaignConfig {
     #[must_use]
     pub fn diff_config(&self) -> DiffConfig {
         DiffConfig {
-            base: self.base,
             max_steps: self.max_steps_per_program,
-            window: self.window,
         }
     }
 
@@ -140,9 +121,9 @@ impl CampaignConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] naming the violated invariant: the
-    /// embedded [`DiffConfig`] must validate ([`window >= 1`,
-    /// `max_steps >= 1`](DiffConfig::validate)), `program_len >= 1` and
-    /// `mem_size >= 1`.
+    /// embedded [`DiffConfig`] must validate
+    /// ([`max_steps >= 1`](DiffConfig::validate)), `program_len >= 1`
+    /// and `mem_size >= 1`.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.diff_config().validate()?;
         if self.program_len < 1 {
@@ -159,12 +140,9 @@ impl CampaignConfig {
     /// geometry, generator tuning, and the active instruction set. The
     /// instruction *budget* is deliberately excluded: resuming a
     /// checkpoint with a larger budget is the whole point of resume, and
-    /// the budget never feeds an RNG stream. The comparison *window* is
-    /// excluded for the same reason: windowed and exact runs produce
-    /// bit-identical verdicts by construction, so a checkpoint frozen at
-    /// one window may be resumed at another without diverging.
-    /// Checkpoints carry this value so a resume under a different
-    /// configuration is rejected instead of silently diverging.
+    /// the budget never feeds an RNG stream. Checkpoints carry this
+    /// value so a resume under a different configuration is rejected
+    /// instead of silently diverging.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let mut fnv = Fnv::new();
@@ -172,12 +150,15 @@ impl CampaignConfig {
         fnv.write_u64(self.program_len as u64);
         fnv.write_u64(self.max_steps_per_program);
         fnv.write_u64(self.mem_size);
-        fnv.write_u64(self.base);
+        // The slot of the retired load address, which was always 0:
+        // keeping it keeps every fingerprint, and so every checkpoint,
+        // valid.
+        fnv.write_u64(0);
         fnv.write_u64(self.generator.tournament as u64);
         fnv.write_u64(u64::from(self.generator.rm_stress));
         // The schedule shapes which seeds get mutated, so two campaigns
-        // differing only in schedule have diverging corpus-RNG streams —
-        // unlike the window, it must be part of the fingerprint.
+        // differing only in schedule have diverging corpus-RNG streams:
+        // it must be part of the fingerprint.
         fnv.write_bytes(self.schedule.id().as_bytes());
         for ext in Extension::ALL {
             fnv.write_u64(u64::from(self.library.extension_active(ext)));
@@ -554,7 +535,7 @@ pub(crate) struct Campaign {
     engine: DiffEngine,
     rng: SplitMix64,
     // Hot-loop buffers, reused across every run of the campaign: the
-    // current program and the two windowed batch outcomes. Cleared, not
+    // current program and the two batch outcomes. Cleared, not
     // reallocated, once the high-water capacity is reached.
     program_buf: Vec<tf_riscv::Instruction>,
     scratch: DiffScratch,
@@ -936,7 +917,7 @@ mod tests {
     #[test]
     fn restore_rejects_a_different_schedule() {
         // The schedule shapes the corpus-selection stream, so it is part
-        // of the config fingerprint — unlike the window.
+        // of the config fingerprint.
         let frozen = config(1_000).fingerprint();
         let other = config(1_000).with_schedule(PowerSchedule::Fast);
         assert!(matches!(
@@ -946,24 +927,21 @@ mod tests {
     }
 
     #[test]
-    fn feedback_schedules_stay_deterministic_and_window_invariant() {
+    fn feedback_schedules_stay_deterministic() {
         for schedule in [PowerSchedule::Fast, PowerSchedule::Explore] {
-            let run = |window: u64| {
-                let mut campaign =
-                    Campaign::new(config(2_000).with_schedule(schedule).with_window(window));
+            let run = || {
+                let mut campaign = Campaign::new(config(2_000).with_schedule(schedule));
                 let mut dut = MutantHart::new(1 << 16, BugScenario::OffByOneImmediate);
                 let report = campaign.resume(&mut dut, CampaignReport::default());
                 (report, campaign.corpus.into_entries())
             };
-            let exact = run(1);
-            assert!(!exact.0.is_clean(), "{schedule}: imm mutant undetected");
+            let first = run();
+            assert!(!first.0.is_clean(), "{schedule}: imm mutant undetected");
             assert!(
-                exact.0.first_divergence_at.is_some(),
+                first.0.first_divergence_at.is_some(),
                 "detection latency must be recorded"
             );
-            for window in [16, 64] {
-                assert_eq!(run(window), exact, "{schedule} window {window} drifted");
-            }
+            assert_eq!(run(), first, "{schedule} drifted between reruns");
         }
     }
 
@@ -1105,65 +1083,23 @@ mod tests {
     }
 
     #[test]
-    fn every_window_reports_the_exact_campaign_bit_for_bit() {
-        // The tentpole invariant at campaign level: the window is pure
-        // throughput tuning, so whole reports — divergences, coverage,
-        // corpus contents — are identical at every window.
-        let run = |window: u64| {
-            let mut campaign = Campaign::new(config(2_000).with_window(window));
-            let mut dut = MutantHart::new(1 << 16, BugScenario::B2ReservedRounding);
-            let report = campaign.resume(&mut dut, CampaignReport::default());
-            let entries = campaign.corpus().entries().to_vec();
-            (report, entries)
-        };
-        let exact = run(1);
-        assert!(!exact.0.is_clean(), "b2 mutant went undetected");
-        for window in [4, 16, 64] {
-            assert_eq!(run(window), exact, "window {window} drifted from exact");
-        }
-    }
-
-    #[test]
-    fn checkpoints_resume_across_windows() {
-        // The window is excluded from the config fingerprint: a corpus
-        // frozen under one window thaws under another, and the resumed
-        // tail still reproduces the uninterrupted run bit for bit.
-        let full_config = config(2_000).with_window(1);
-        let mut uninterrupted = Campaign::new(full_config.clone());
-        let mut dut = Hart::new(1 << 16);
-        let full = uninterrupted.resume(&mut dut, CampaignReport::default());
-
-        let mut first = Campaign::new(config(1_000).with_window(32));
-        let mut dut = Hart::new(1 << 16);
-        let half = first.resume(&mut dut, CampaignReport::default());
-        let frozen = first.freeze(&half);
-
-        let mut second = Campaign::restore(full_config, &frozen).unwrap();
-        let mut dut = Hart::new(1 << 16);
-        let resumed = second.resume(&mut dut, frozen.report.clone());
-        assert_eq!(resumed, full, "cross-window resume must be bit-identical");
-    }
-
-    #[test]
     fn builders_validate_and_the_constructor_enforces_them() {
         let config = CampaignConfig::default()
             .with_seed(7)
             .with_program_len(9)
-            .with_max_steps_per_program(50)
-            .with_window(4);
+            .with_max_steps_per_program(50);
         assert_eq!(config.seed, 7);
         assert_eq!(config.program_len, 9);
-        assert_eq!(config.diff_config().max_steps, 50);
-        assert_eq!(config.diff_config().window, 4);
+        assert_eq!(config.diff_config(), DiffConfig { max_steps: 50 });
         assert!(config.validate().is_ok());
         assert_eq!(
             config
                 .clone()
-                .with_window(0)
+                .with_max_steps_per_program(0)
                 .validate()
                 .unwrap_err()
                 .to_string(),
-            "window must be at least 1"
+            "max_steps must be at least 1"
         );
         assert_eq!(
             config
@@ -1183,6 +1119,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid CampaignConfig")]
     fn the_campaign_rejects_an_invalid_config() {
-        let _ = Campaign::new(CampaignConfig::default().with_window(0));
+        let _ = Campaign::new(CampaignConfig::default().with_max_steps_per_program(0));
     }
 }

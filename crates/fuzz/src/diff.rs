@@ -1,48 +1,42 @@
-//! Windowed lockstep differential execution: reference vs device under
-//! test.
+//! Lockstep differential execution: reference vs device under test.
 //!
 //! The [`DiffEngine`] loads the same program into the golden reference
-//! and a [`Dut`] and compares their executions. With
-//! [`DiffConfig::window`]` == 1` it steps both in lockstep and compares
-//! after every step: outcome first, then the full architectural digests
-//! (registers, CSRs and memory — catching divergences trace entries
-//! cannot see, like a dropped `fflags` update). With a window `k > 1` it
-//! instead runs each side as one batched [`Dut::run`] that samples the
-//! digest every `k` steps, and compares the two [`BatchOutcome`]s — the
-//! digest cost amortises by `k`. When the batches disagree the engine
-//! replays the run exactly (execution is deterministic, so the replay
-//! bisects the offending window down to its first diverging step), which
-//! makes the reported [`Divergence`] bit-identical to what `window == 1`
-//! reports. The divergence carries both sides' [`TraceEntry`]s, which is
-//! the paper's bug-scenario localisation: not just *that* the device
-//! differs, but the exact instruction where it went wrong.
+//! and a [`Dut`] and judges the run once, after it has run: each side
+//! executes as one batched [`Dut::run_into`] with no interior digest
+//! samples, and the two [`BatchOutcome`]s — steps, exit, trap causes,
+//! the single end-of-run sample and both coverage folds — must be
+//! equal. When they differ, the engine replays the program with the
+//! exact per-step loop, [`DiffEngine::diff_exact`], which compares the
+//! outcome and the full architectural digest (registers, CSRs and
+//! memory — catching divergences trace entries cannot see, like a
+//! dropped `fflags` update) after every step. Execution is
+//! deterministic, so the replay reports the first diverging step, and
+//! the [`Divergence`] is the exact loop's, bit for bit. It carries both
+//! sides' [`TraceEntry`]s, which is the paper's bug-scenario
+//! localisation: not just *that* the device differs, but the exact
+//! instruction where it went wrong.
 //!
-//! The reference's [`Dut::run`] is the hart's native walk over its
-//! predecoded program image (see `tf_arch::Hart`), which is proven
-//! bit-identical to the default per-step trait body, and every run —
-//! batched or the exact loop — keeps its books through one
-//! [`BatchTally`] — so the windowed fast path, the exact replay and the
-//! `window == 1` loop all agree on every sample, every verdict and every
-//! replayed trace regardless of which engine produced them.
-//!
-//! Windowed detection loses no sensitivity: each sample folds not just
-//! the state digest but the device's cumulative *write history*
+//! One sample loses no sensitivity: it folds not just the state digest
+//! but the device's cumulative *write history*
 //! ([`tf_arch::Dut::write_history`], via [`tf_arch::fold_sample`]), and
 //! a fold over the write sequence never reconverges once the two sides
 //! first wrote differently — so even a divergence whose architectural
-//! side effects cancel out again before the next sample point still
-//! flips every later sample and triggers the exact replay. Backends
-//! that leave `write_history` at its constant default stay correct
-//! too, at a cost: every window against the history-bearing reference
-//! mismatches and replays, degrading to `window = 1` throughput.
+//! side effects cancel out again before the run ends still flips the
+//! end-of-run sample and triggers the replay. Backends that leave
+//! `write_history` or `pc` at the trait's constant default stay
+//! correct too, at a cost: every run mismatches the reference and is
+//! replayed step by step.
+//!
+//! The reference's [`Dut::run_into`] is the hart's native walk over
+//! its predecoded program image (see `tf_arch::Hart`), which is proven
+//! bit-identical to the default per-step trait body, and both paths
+//! keep the reference's books through one [`BatchTally`] — so the
+//! batched run and the exact replay agree on every verdict and every
+//! replayed trace regardless of which engine produced them.
 
 use tf_arch::digest::Fnv;
 use tf_arch::{BatchOutcome, BatchTally, Dut, RunExit, StepOutcome, TraceEntry, Trap};
 use tf_riscv::Instruction;
-
-/// Default comparison window: digests are sampled and compared every
-/// this many steps (see [`DiffConfig::window`]).
-pub const DEFAULT_WINDOW: u64 = 16;
 
 /// A rejected configuration, explaining which invariant failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,44 +50,24 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// How a [`DiffEngine`] runs: where programs load, the per-run step
-/// budget and the comparison window. Mirrors
-/// [`CampaignConfig`](crate::CampaignConfig): public fields plus
-/// `#[must_use]` builder setters ([`DiffConfig::with_window`] and
-/// friends) and [`DiffConfig::validate`].
+/// How a [`DiffEngine`] runs: the per-run step budget. Programs load at
+/// address 0, which the generator's domestication of loads, stores and
+/// AMOs assumes. Mirrors [`CampaignConfig`](crate::CampaignConfig): a
+/// public field plus a `#[must_use]` builder setter and
+/// [`DiffConfig::validate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiffConfig {
-    /// Address programs are loaded at.
-    pub base: u64,
     /// Per-run step budget.
     pub max_steps: u64,
-    /// Steps between digest comparisons. `1` compares after every step
-    /// (the exhaustive pre-windowing behaviour, bit for bit); larger
-    /// windows amortise digest cost and localise mismatches by exact
-    /// replay. `max_steps` need not be a multiple: a trailing partial
-    /// window is closed by the unconditional final sample of
-    /// [`Dut::run`]. Must be at least 1.
-    pub window: u64,
 }
 
 impl Default for DiffConfig {
     fn default() -> Self {
-        DiffConfig {
-            base: 0,
-            max_steps: 128,
-            window: DEFAULT_WINDOW,
-        }
+        DiffConfig { max_steps: 128 }
     }
 }
 
 impl DiffConfig {
-    /// This config with `base` replaced.
-    #[must_use]
-    pub fn with_base(mut self, base: u64) -> Self {
-        self.base = base;
-        self
-    }
-
     /// This config with `max_steps` replaced.
     #[must_use]
     pub fn with_max_steps(mut self, max_steps: u64) -> Self {
@@ -101,23 +75,12 @@ impl DiffConfig {
         self
     }
 
-    /// This config with `window` replaced.
-    #[must_use]
-    pub fn with_window(mut self, window: u64) -> Self {
-        self.window = window;
-        self
-    }
-
-    /// Check the invariants [`DiffEngine::new`] requires.
+    /// Check the invariant [`DiffEngine::new`] requires.
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] naming the violated invariant:
-    /// `window >= 1` and `max_steps >= 1`.
+    /// Returns a [`ConfigError`] unless `max_steps >= 1`.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.window < 1 {
-            return Err(ConfigError("window must be at least 1"));
-        }
         if self.max_steps < 1 {
             return Err(ConfigError("max_steps must be at least 1"));
         }
@@ -234,10 +197,10 @@ impl std::fmt::Display for Divergence {
     }
 }
 
-/// Reusable per-diff buffers: the two [`BatchOutcome`]s a windowed run
+/// Reusable per-diff buffers: the two [`BatchOutcome`]s a batched run
 /// fills. Campaign hot loops hold one of these and pass it to
-/// [`DiffEngine::diff_with`] so the per-window sample vectors are
-/// cleared, never reallocated, across thousands of runs.
+/// [`DiffEngine::diff_with`] so the sample vectors are cleared, never
+/// reallocated, across thousands of runs.
 #[derive(Debug, Clone, Default)]
 pub struct DiffScratch {
     /// The reference side's batch outcome.
@@ -246,7 +209,7 @@ pub struct DiffScratch {
     pub dut: BatchOutcome,
 }
 
-/// Windowed lockstep differential executor.
+/// Lockstep differential executor.
 #[derive(Debug, Clone, Copy)]
 pub struct DiffEngine {
     config: DiffConfig,
@@ -266,21 +229,12 @@ impl DiffEngine {
         DiffEngine { config }
     }
 
-    /// The engine's configuration.
-    #[must_use]
-    pub fn config(&self) -> DiffConfig {
-        self.config
-    }
-
-    /// Reset both devices, load `program` into each, and execute both
-    /// sides until divergence, program end (`ebreak`/`ecall`) or the
-    /// step budget, comparing digests every [`DiffConfig::window`]
-    /// steps.
+    /// Reset both devices, load `program` into each, run both sides
+    /// until program end (`ebreak`/`ecall`) or the step budget, and
+    /// compare the two outcomes.
     ///
-    /// A window mismatch is localised by exact replay: both sides are
-    /// reset and re-run in per-step lockstep, which — execution being a
-    /// pure function of the loaded program — reports the same
-    /// [`Divergence`], bit for bit, that `window == 1` would have.
+    /// A mismatch is localised by [`DiffEngine::diff_exact`], so the
+    /// reported [`Divergence`] is the exact loop's, bit for bit.
     ///
     /// # Errors
     ///
@@ -296,7 +250,7 @@ impl DiffEngine {
         self.diff_with(reference, dut, program, &mut scratch)
     }
 
-    /// [`DiffEngine::diff`] with caller-owned batch buffers: the windowed
+    /// [`DiffEngine::diff`] with caller-owned batch buffers: the batched
     /// run fills `scratch` via [`Dut::run_into`] instead of allocating
     /// two fresh [`BatchOutcome`]s, so a campaign's one-batch-per-program
     /// hot loop never reallocates the sample vectors. The verdict is
@@ -313,49 +267,41 @@ impl DiffEngine {
         program: &[Instruction],
         scratch: &mut DiffScratch,
     ) -> Result<DiffVerdict, Trap> {
-        reference.reset();
-        dut.reset();
-        reference.load(self.config.base, program)?;
-        dut.load(self.config.base, program)?;
-        if self.config.window > 1 {
-            // Trace the reference only: the trace feeds the coverage key
-            // on agreement, and the replay recollects both sides' traces
-            // on mismatch.
-            reference.enable_tracing();
-            reference.run_into(
-                self.config.max_steps,
-                self.config.window,
-                &mut scratch.reference,
-            );
-            dut.run_into(self.config.max_steps, self.config.window, &mut scratch.dut);
-            if scratch.reference == scratch.dut {
-                return Ok(Self::agree(reference, &scratch.reference));
-            }
-            // Some window disagreed: replay from reset, step by step, to
-            // bisect it down to the exact diverging step.
-            reference.take_trace();
-            reference.reset();
-            dut.reset();
-            reference.load(self.config.base, program)?;
-            dut.load(self.config.base, program)?;
+        Self::reset_and_load(reference, dut, program)?;
+        // Trace the reference only: the trace feeds the coverage key on
+        // agreement, and the replay recollects both sides' traces on
+        // mismatch.
+        reference.enable_tracing();
+        reference.run_into(self.config.max_steps, 0, &mut scratch.reference);
+        dut.run_into(self.config.max_steps, 0, &mut scratch.dut);
+        if scratch.reference == scratch.dut {
+            return Ok(Self::agree(reference, &scratch.reference));
         }
-        Ok(self.diff_exact(reference, dut, &mut scratch.reference))
+        self.diff_exact(reference, dut, program)
     }
 
-    /// The exhaustive per-step loop: compare outcome and digest after
-    /// every single step. Callers have already reset and loaded both
-    /// sides. The reference side's books go through the same
-    /// [`BatchTally`] its batched runs use, into `out`, so windowed and
-    /// exact verdicts carry bit-identical folds.
-    fn diff_exact(
+    /// The exhaustive per-step loop: reset both devices, load `program`
+    /// into each, and compare outcome and digest after every single
+    /// step, stopping at the first difference. The reference side's
+    /// books go through the same [`BatchTally`] its batched runs use,
+    /// so an agreement verdict carries the folds [`DiffEngine::diff`]
+    /// reports.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`Trap`] raised when the program cannot be loaded
+    /// (does not fit in memory, or fails to encode).
+    pub fn diff_exact(
         &self,
         reference: &mut dyn Dut,
         dut: &mut dyn Dut,
-        out: &mut BatchOutcome,
-    ) -> DiffVerdict {
+        program: &[Instruction],
+    ) -> Result<DiffVerdict, Trap> {
+        Self::reset_and_load(reference, dut, program)?;
         reference.enable_tracing();
         dut.enable_tracing();
-        let mut tally = BatchTally::new(self.config.max_steps, 0, out);
+        let mut out = BatchOutcome::default();
+        let mut tally = BatchTally::new(self.config.max_steps, 0, &mut out);
         while tally.running() {
             let from = reference.pc();
             let ref_outcome = reference.step();
@@ -364,22 +310,34 @@ impl DiffEngine {
             let (reference_digest, dut_digest) = (reference.digest(), dut.digest());
             if ref_outcome != dut_outcome || reference_digest != dut_digest {
                 let last = |side: &mut dyn Dut| side.take_trace()?.entries().last().copied();
-                return DiffVerdict::Diverged(Divergence {
+                return Ok(DiffVerdict::Diverged(Divergence {
                     step: tally.steps(),
                     reference: last(reference),
                     dut: last(dut),
                     reference_digest,
                     dut_digest,
-                });
+                }));
             }
         }
         dut.take_trace();
         tally.finish(&*reference);
-        Self::agree(reference, out)
+        Ok(Self::agree(reference, &out))
+    }
+
+    /// Reset both sides and load `program` into each at address 0.
+    fn reset_and_load(
+        reference: &mut dyn Dut,
+        dut: &mut dyn Dut,
+        program: &[Instruction],
+    ) -> Result<(), Trap> {
+        reference.reset();
+        dut.reset();
+        reference.load(0, program)?;
+        dut.load(0, program)
     }
 
     /// The agreement verdict of a run whose reference side produced
-    /// `batch`: the windowed and the exact path both end here.
+    /// `batch`: the batched and the exact path both end here.
     fn agree(reference: &mut dyn Dut, batch: &BatchOutcome) -> DiffVerdict {
         DiffVerdict::Agree {
             steps: batch.steps,
@@ -595,49 +553,30 @@ mod tests {
 
     #[test]
     fn builders_compose_and_validation_names_the_invariant() {
-        let config = DiffConfig::default()
-            .with_base(0x1000)
-            .with_max_steps(64)
-            .with_window(4);
-        assert_eq!(
-            config,
-            DiffConfig {
-                base: 0x1000,
-                max_steps: 64,
-                window: 4
-            }
-        );
+        let config = DiffConfig::default().with_max_steps(64);
+        assert_eq!(config, DiffConfig { max_steps: 64 });
         assert_eq!(config.validate(), Ok(()));
-        // max_steps need not be a multiple of the window.
-        assert_eq!(config.with_max_steps(63).validate(), Ok(()));
-        assert!(config
-            .with_window(0)
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("window"));
         assert!(config
             .with_max_steps(0)
             .validate()
             .unwrap_err()
             .to_string()
             .contains("max_steps"));
-        let engine = DiffEngine::new(config);
-        assert_eq!(engine.config(), config);
     }
 
     #[test]
     #[should_panic(expected = "invalid DiffConfig")]
-    fn the_engine_rejects_a_zero_window() {
-        let _ = DiffEngine::new(DiffConfig::default().with_window(0));
+    fn the_engine_rejects_a_zero_step_budget() {
+        let _ = DiffEngine::new(DiffConfig::default().with_max_steps(0));
     }
 
     #[test]
     fn every_window_reports_the_exact_loop_verdict() {
         // The replay guarantee, in miniature (the 1k-seed property test
-        // lives in tests/windowed_equivalence.rs): agreement and
-        // divergence verdicts at every window equal window=1's, bit for
-        // bit — including a budget that is not a window multiple.
+        // lives in tests/windowed_equivalence.rs): the end-of-run
+        // comparison reports the exact loop's verdict bit for bit, and
+        // batches sampled at any cadence agree exactly when it agrees —
+        // including a budget that is not a cadence multiple.
         let diverging = [
             Instruction::csr_imm(Opcode::Csrrwi, Gpr::ZERO, csr::FRM, 0b101).unwrap(),
             Instruction::fp_r_type(Opcode::FaddS, f(1), f(2), f(3), Some(RoundingMode::Dyn))
@@ -650,23 +589,24 @@ mod tests {
             Instruction::system(Opcode::Ebreak),
         ];
         for max_steps in [100, 7] {
-            let exact = DiffEngine::new(
-                DiffConfig::default()
-                    .with_max_steps(max_steps)
-                    .with_window(1),
-            );
-            for window in [4, 16, 64] {
-                let windowed = DiffEngine::new(
-                    DiffConfig::default()
-                        .with_max_steps(max_steps)
-                        .with_window(window),
-                );
-                for program in [&diverging[..], &clean[..]] {
-                    let mut reference = Hart::new(MEM);
-                    let mut dut = MutantHart::new(MEM, BugScenario::B2ReservedRounding);
-                    let expected = exact.diff(&mut reference, &mut dut, program).unwrap();
-                    let got = windowed.diff(&mut reference, &mut dut, program).unwrap();
-                    assert_eq!(got, expected, "window {window}, max_steps {max_steps}");
+            let engine = DiffEngine::new(DiffConfig::default().with_max_steps(max_steps));
+            for program in [&diverging[..], &clean[..]] {
+                let mut reference = Hart::new(MEM);
+                let mut dut = MutantHart::new(MEM, BugScenario::B2ReservedRounding);
+                let expected = engine
+                    .diff_exact(&mut reference, &mut dut, program)
+                    .unwrap();
+                let got = engine.diff(&mut reference, &mut dut, program).unwrap();
+                assert_eq!(got, expected, "max_steps {max_steps}");
+                let agrees = matches!(expected, DiffVerdict::Agree { .. });
+                for window in [0, 1, 4, 16, 64] {
+                    let run = |side: &mut dyn Dut| {
+                        side.reset();
+                        side.load(0, program).unwrap();
+                        side.run(max_steps, window)
+                    };
+                    let same = run(&mut reference) == run(&mut dut);
+                    assert_eq!(same, agrees, "window {window}, max_steps {max_steps}");
                 }
             }
         }

@@ -4,7 +4,7 @@
 //! loop by sampling prime-instruction programs from the configurable
 //! repository ([`tf_riscv::InstructionLibrary`]), executing them on a
 //! device under test behind the [`tf_arch::Dut`] boundary, and differencing
-//! every step against the golden [`tf_arch::Hart`] reference model.
+//! every run against the golden [`tf_arch::Hart`] reference model.
 //!
 //! * [`ProgramGenerator`] — dataflow-aware generation: per-slot candidate
 //!   tournaments bias operand choice toward reusing recently defined
@@ -18,12 +18,13 @@
 //!   record (cost, coverage yield, fecundity) that a [`PowerSchedule`]
 //!   turns into energy-weighted selection — uniform, AFL-fast-flavoured
 //!   or explore — without giving up bit-determinism.
-//! * [`DiffEngine`] — windowed lockstep reference-vs-DUT execution
-//!   (configured by [`DiffConfig`]): digests are compared every
-//!   [`DiffConfig::window`] steps via the batched [`tf_arch::Dut::run`],
-//!   and a mismatching window is replayed step-at-a-time so the reported
-//!   [`Divergence`] — down to the first diverging
-//!   [`tf_arch::TraceEntry`] — is bit-identical to an exact run.
+//! * [`DiffEngine`] — lockstep reference-vs-DUT execution (configured
+//!   by [`DiffConfig`]): each side runs the program as one batched
+//!   [`tf_arch::Dut::run_into`], the two outcomes are compared once at
+//!   the end of the run, and a mismatching run is replayed step at a
+//!   time ([`DiffEngine::diff_exact`]) so the reported [`Divergence`] —
+//!   down to the first diverging [`tf_arch::TraceEntry`] — is the exact
+//!   loop's.
 //! * [`CampaignDriver`] — the single entry point for running campaigns:
 //!   a builder (`with_jobs`, `with_corpus`, `with_resume`,
 //!   `with_event_sink`, …) whose [`CampaignDriver::run`] owns one worker
@@ -109,9 +110,7 @@ pub use coordinator::{
 };
 pub use corpus::{minimize, Corpus, SeedCalibration, SeedEntry};
 pub use coverage::CoverageMap;
-pub use diff::{
-    ConfigError, DiffConfig, DiffEngine, DiffScratch, DiffVerdict, Divergence, DEFAULT_WINDOW,
-};
+pub use diff::{ConfigError, DiffConfig, DiffEngine, DiffScratch, DiffVerdict, Divergence};
 pub use generator::{GeneratorConfig, ProgramGenerator};
 pub use remote::{DutSupervisor, SpawnError, SupervisorConfig};
 pub use schedule::{PowerSchedule, MAX_ENERGY};

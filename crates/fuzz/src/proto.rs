@@ -6,8 +6,9 @@
 //! exchanges exactly one `Run` frame (and one `BatchOutcome` reply) per
 //! generated program, never a step-at-a-time RPC — per-step requests
 //! (`Step`, `Digest`) exist only for exact divergence replay, which the
-//! windowed engine enters rarely. Every frame is a record frame of the
-//! corpus format, written by the same code (see [`crate::persist`]):
+//! engine enters only when a run's end-of-run comparison mismatches.
+//! Every frame is a record frame of the corpus format, written by the
+//! same code (see [`crate::persist`]):
 //!
 //! ```text
 //! tag u8 · payload length u32 · FNV-1a(tag·length) low byte

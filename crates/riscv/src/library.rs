@@ -135,12 +135,6 @@ impl InstructionLibrary {
             .collect();
     }
 
-    /// The current configuration.
-    #[must_use]
-    pub fn config(&self) -> &LibraryConfig {
-        &self.config
-    }
-
     /// Swap in a new configuration, rebuilding the active set. The RNG
     /// state is kept so a reconfigured library continues its deterministic
     /// stream.
