@@ -119,7 +119,10 @@ resumed explore 40000 20000 --seed 7 --schedule explore
 expect --seed 3 --steps 2000 --corpus merged.tfc --expect clean
 expect --seed 4 --steps 4000 --jobs 2 --corpus merged.tfc --expect clean
 
-# Over the wire, every mutant prints the bytes it prints in process.
+# Over the wire (one run frame per program, plus one replay frame when
+# its run mismatches), every mutant prints the bytes it prints in
+# process. A device that refuses every program the reference loads
+# diverges at step 0 rather than running nothing.
 for m in "${MUTANTS[@]}"; do
     same "inproc-$m" "remote-$m" \
         -- --seed 1 --steps 3000 --mutant "$m" --corpus "inproc-$m.tfc" --expect divergence \
@@ -127,9 +130,11 @@ for m in "${MUTANTS[@]}"; do
         --corpus "remote-$m.tfc" --expect divergence
 done
 expect --seed 1 --steps 5000 --dut "cmd:$CLI serve" --expect clean
+expect --seed 1 --steps 3000 --dut "cmd:$CLI serve --mem 64" --expect divergence
 
 # Chaos: a crash, a hang past the supervisor deadline and a garbled
-# frame are each found and survived; crashes rerun and resume exactly.
+# answer, each fired at a program's run frame, are found and survived;
+# crashes rerun and resume exactly.
 crash=(--seed 2 --steps 3000 --dut "cmd:$CLI serve --chaos-crash-after 2" --expect crash)
 same crash-1 crash-2 -- "${crash[@]}" -- "${crash[@]}"
 grep -q "dut crash" crash-1.out

@@ -2,9 +2,13 @@
 //!
 //! The fuzzing loop never talks to a concrete machine. It drives the
 //! abstract [`Dut`] interface — reset, program load, single-step, state
-//! digest and trace hooks — and differences any implementation against
-//! the golden [`Hart`]. The reference model itself implements the trait
-//! (so reference-vs-reference campaigns are the zero-divergence sanity
+//! digest and trace hooks, plus two whole-program calls built from them
+//! ([`Dut::run_program`] and [`Dut::replay`]) — and differences any
+//! implementation against the golden [`Hart`]. A backend behind a
+//! costly boundary overrides the two whole-program calls to cross it
+//! once per call; every other backend runs their default bodies. The
+//! reference model itself implements the trait (so
+//! reference-vs-reference campaigns are the zero-divergence sanity
 //! baseline), [`MutantHart`](crate::MutantHart) implements it with
 //! injected bug scenarios for end-to-end fuzzer validation, and future
 //! backends — RTL simulators, external ISS processes, faulty models —
@@ -14,7 +18,7 @@ use tf_riscv::Instruction;
 
 use crate::digest::Fnv;
 use crate::hart::{Hart, RunExit};
-use crate::trace::{ExecutionTrace, StepOutcome};
+use crate::trace::{ExecutionTrace, StepOutcome, TraceEntry};
 use crate::trap::Trap;
 
 /// What one batched [`Dut::run`] produced: how the run ended plus the
@@ -340,6 +344,50 @@ pub struct RemoteDutStats {
     pub dead: bool,
 }
 
+/// Where a [`Dut::replay`] first differed from the expected step stream.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReplayStop {
+    /// 1-based step at which the device's outcome or digest first
+    /// differed from the expected one. The device ran no step past it.
+    pub step: u64,
+    /// The device's last trace entry: what it did at that step.
+    pub entry: Option<TraceEntry>,
+    /// The device's architectural digest after that step.
+    pub digest: u64,
+}
+
+/// The body of the default [`Dut::replay`]: reset `dut`, load `program`
+/// at address 0, enable tracing, then [`Dut::step`] and [`Dut::digest`]
+/// once per `expected` step, stopping at the first step whose outcome
+/// or digest differs. Backends that override [`Dut::replay`] call it
+/// for a stream their own transport cannot carry.
+///
+/// # Errors
+///
+/// Returns the [`Trap`] the load raised.
+pub fn replay_per_call<D: Dut + ?Sized>(
+    dut: &mut D,
+    program: &[Instruction],
+    expected: &[(StepOutcome, u64)],
+) -> Result<Option<ReplayStop>, Trap> {
+    dut.reset();
+    dut.load(0, program)?;
+    dut.enable_tracing();
+    for (step, &(outcome, digest)) in (1..).zip(expected) {
+        let got = dut.step();
+        let got_digest = dut.digest();
+        if got != outcome || got_digest != digest {
+            return Ok(Some(ReplayStop {
+                step,
+                entry: dut.take_trace().and_then(|t| t.entries().last().copied()),
+                digest: got_digest,
+            }));
+        }
+    }
+    dut.take_trace();
+    Ok(None)
+}
+
 /// A device under test: anything that can execute RV64 programs and
 /// expose its architectural state for differential comparison.
 ///
@@ -352,9 +400,13 @@ pub struct RemoteDutStats {
 ///   pinned by [`STABILITY_FINGERPRINT`](crate::digest::STABILITY_FINGERPRINT)
 ///   so fingerprints can be compared across processes and recorded in
 ///   corpora.
-/// * [`Dut::run`] executes a whole batch — the differential engine's
-///   end-of-run comparison runs each side as one — and has a default
+/// * [`Dut::run`] executes a whole batch and has a default
 ///   implementation in terms of [`Dut::step`].
+/// * [`Dut::run_program`] and [`Dut::replay`] are what the differential
+///   engine drives the device under test through: one call per judged
+///   program, and one more when that program is replayed step by step.
+///   Their default bodies are plain sequences of the per-call methods;
+///   a backend overrides them to cross its boundary once per call.
 /// * Tracing is opt-in: campaigns that only need end-state digests skip
 ///   the per-step storage.
 pub trait Dut {
@@ -437,8 +489,9 @@ pub trait Dut {
     /// `digest_every` steps (`0` disables interior samples; a final
     /// sample is always taken after the last step).
     ///
-    /// This is the contract the differential engine drives: it runs
-    /// reference and DUT each as one batch and compares the returned
+    /// This is the contract the differential engine judges by: it runs
+    /// reference and DUT each as one batch (the DUT's inside
+    /// [`Dut::run_program`]) and compares the returned
     /// [`BatchOutcome`]s once, at the end, instead of after every step.
     /// Convenience wrapper over [`Dut::run_into`], which is the method
     /// backends override.
@@ -466,6 +519,43 @@ pub trait Dut {
             tally.record(&*self, from, outcome);
         }
         tally.finish(&*self);
+    }
+
+    /// Run `program` from reset: [`Dut::reset`], [`Dut::load`] at
+    /// address 0, then one [`Dut::run_into`] of up to `max_steps` steps
+    /// with no interior samples. This is how the differential engine
+    /// judges a program on the device under test.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`Trap`] the load raised; `out` is then unspecified.
+    fn run_program(
+        &mut self,
+        program: &[Instruction],
+        max_steps: u64,
+        out: &mut BatchOutcome,
+    ) -> Result<(), Trap> {
+        self.reset();
+        self.load(0, program)?;
+        self.run_into(max_steps, 0, out);
+        Ok(())
+    }
+
+    /// Replay `program` from reset against the reference's recorded
+    /// stream: `expected` holds, for every step the reference took, its
+    /// [`StepOutcome`] and its [`Dut::digest`] after the step. Returns
+    /// where the device first differed, or `None` when it matched every
+    /// expected step. The default body is [`replay_per_call`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`Trap`] the load raised.
+    fn replay(
+        &mut self,
+        program: &[Instruction],
+        expected: &[(StepOutcome, u64)],
+    ) -> Result<Option<ReplayStop>, Trap> {
+        replay_per_call(self, program, expected)
     }
 }
 

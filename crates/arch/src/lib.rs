@@ -21,7 +21,9 @@
 //! * [`ExecutionTrace`] — opt-in per-step log (pc, word, outcome, defined
 //!   register) with a deterministic digest for differential comparison.
 //! * [`Dut`] — the device-under-test boundary the fuzzer drives: reset,
-//!   program load, single-step, state digest and trace hooks. [`Hart`]
+//!   program load, single-step, state digest and trace hooks, and the
+//!   whole-program [`Dut::run_program`] and [`Dut::replay`] built from
+//!   them. [`Hart`]
 //!   implements it as the golden reference; [`MutantHart`] implements it
 //!   with an injected [`BugScenario`] (e.g. B2, reserved-rounding-mode
 //!   acceptance) for end-to-end fuzzer validation; external simulators
@@ -67,7 +69,8 @@ mod trace;
 mod trap;
 
 pub use dut::{
-    fold_sample, BatchOutcome, BatchTally, Dut, DutFailure, DutFailureKind, RemoteDutStats,
+    fold_sample, replay_per_call, BatchOutcome, BatchTally, Dut, DutFailure, DutFailureKind,
+    RemoteDutStats, ReplayStop,
 };
 pub use hart::{Hart, RunExit};
 pub use mem::{Memory, PAGE_SIZE};

@@ -1,6 +1,7 @@
 //! End-to-end out-of-process DUT tests against the real `tf-cli`
 //! binary: clean subprocess backends must be report-identical to
-//! in-process harts, and every deterministic chaos mode must surface as
+//! in-process harts, a campaign sends one frame per program (two when
+//! it replays one), and every deterministic chaos mode must surface as
 //! the right finding while the campaign survives, respawns and stays
 //! bit-deterministic — including across checkpoint/resume.
 
@@ -9,6 +10,8 @@ use std::process::Command;
 use std::time::Duration;
 
 use tf_fuzz::prelude::*;
+use tf_fuzz::proto::{read_request, Request, WireError};
+use tf_riscv::{csr, Fpr, Gpr, Instruction, Opcode, RoundingMode};
 
 const MEM: u64 = 1 << 16;
 
@@ -91,6 +94,153 @@ fn remote_clean_backend_matches_in_process_reports() {
     );
     assert_eq!(got, want, "mutant divergences over the wire must match");
     assert_eq!(got.dut, "mutant-b2", "server name passes through");
+}
+
+/// Drive a campaign against `tf-cli serve ARGS…` behind `tee`, which
+/// logs every request frame the supervisor sends, and read the log
+/// back frame by frame.
+fn drive_logged(
+    name: &str,
+    config: CampaignConfig,
+    args: &[&str],
+) -> (CampaignReport, tf_arch::RemoteDutStats, Vec<Request>) {
+    let log = temp_path(&format!("{name}.frames"));
+    let mut argv: Vec<String> = ["sh", "-c", r#"exe=$1; shift; tee "$0" | "$exe" serve "$@""#]
+        .map(String::from)
+        .to_vec();
+    argv.extend([log.display().to_string(), exe()]);
+    argv.extend(args.iter().map(ToString::to_string));
+    let outcome = CampaignDriver::new(config)
+        .run(|spec| {
+            DutSupervisor::spawn(
+                argv.clone(),
+                SupervisorConfig::default(),
+                spec.remote_batches,
+            )
+            .map_err(|error| error.to_string())
+        })
+        .expect("remote campaign runs");
+    let stats = outcome.remote.expect("a supervisor reports remote stats");
+    let frames = logged_requests(&log);
+    std::fs::remove_file(&log).unwrap();
+    (outcome.report, stats, frames)
+}
+
+/// Every request frame in `log`, once the log ends in the closing
+/// shutdown frame. The supervisor's orderly shutdown normally waits
+/// until `tee` has exited, but a loaded host can outlast its grace and
+/// leave `tee` still writing; wait for it up to 10 s.
+fn logged_requests(log: &Path) -> Vec<Request> {
+    for _ in 0..1000 {
+        let mut stream = std::io::Cursor::new(std::fs::read(log).unwrap());
+        let mut frames = Vec::new();
+        let end = loop {
+            match read_request(&mut stream) {
+                Ok(request) => frames.push(request),
+                Err(end) => break end,
+            }
+        };
+        if matches!(end, WireError::Eof) && frames.last() == Some(&Request::Shutdown) {
+            return frames;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("{} never ended in a shutdown frame", log.display());
+}
+
+/// The programs of the `RunProgram` frames among `frames`, and the
+/// number of `Replay` frames; asserts every other frame is the opening
+/// hello or the closing shutdown.
+fn program_frames<'f>(name: &str, frames: &'f [Request]) -> (Vec<&'f [u32]>, u64) {
+    assert!(
+        matches!(frames.first(), Some(Request::Hello { .. })),
+        "{name}"
+    );
+    assert_eq!(frames.last(), Some(&Request::Shutdown), "{name}");
+    let (mut runs, mut replays) = (Vec::new(), 0);
+    for frame in &frames[1..frames.len() - 1] {
+        match frame {
+            Request::RunProgram { words, .. } => runs.push(&words[..]),
+            Request::Replay { .. } => replays += 1,
+            other => panic!("{name}: per-call frame {other:?}"),
+        }
+    }
+    (runs, replays)
+}
+
+/// The campaign crosses the process boundary once per agreeing program
+/// and twice per mismatching one: a golden device gets one `RunProgram`
+/// frame per program and no replay; the `fflags` mutant gets one
+/// `RunProgram` frame per issued batch and a `Replay` frame for each
+/// mismatch; neither gets a per-call frame. A device too small for the
+/// programs refuses them: each is a divergence at step 0, and only the
+/// programs it loaded count as batches.
+#[test]
+fn a_campaign_sends_one_frame_per_program() {
+    let mem = MEM.to_string();
+    let golden = ["--mem", &mem];
+    let (report, stats, frames) = drive_logged("golden", config(1, 3_000), &golden);
+    assert!(report.is_clean(), "{report}");
+    let (runs, replays) = program_frames("golden", &frames);
+    assert_eq!(runs.len() as u64, report.programs);
+    assert_eq!(runs.len() as u64, stats.batches_issued);
+    assert_eq!(replays, 0);
+
+    let fflags = ["--mem", &mem, "--mutant", "fflags"];
+    let (report, stats, frames) = drive_logged("fflags", config(1, 3_000), &fflags);
+    assert!(report.divergent_runs > 0, "{report}");
+    let (runs, replays) = program_frames("fflags", &frames);
+    assert_eq!(runs.len() as u64, stats.batches_issued);
+    assert!(runs.len() as u64 > report.programs, "minimisation runs too");
+    assert!(replays >= report.divergent_runs, "{replays} replays");
+
+    let refusing = ["--mem", "64"];
+    let (report, stats, frames) = drive_logged("refusing", config(1, 3_000), &refusing);
+    assert_eq!(report.divergent_runs, report.programs, "{report}");
+    assert_eq!(report.steps_executed, 0, "no program ran in the main loop");
+    let (runs, _) = program_frames("refusing", &frames);
+    let loaded = runs.iter().filter(|words| words.len() <= 16).count();
+    assert!(
+        0 < loaded && loaded < runs.len(),
+        "{loaded} of {}",
+        runs.len()
+    );
+    assert_eq!(loaded as u64, stats.batches_issued);
+}
+
+/// A replay stream too long for one frame goes per call instead of
+/// desynchronising the stream: the `b2` reference runs a two-step
+/// loop, one retired `csrrwi` and one trapping `fadd.s`, for 240k
+/// steps while the mutant exits at step 3, so the replay's expected
+/// stream takes 4.6 MB, past the 4 MiB frame limit. The divergence at
+/// step 2 does not depend on the budget, so a short in-process run
+/// gives the verdict to match.
+#[test]
+fn a_replay_too_long_for_one_frame_goes_per_call() {
+    let f = |i| Fpr::new(i).unwrap();
+    let program = [
+        Instruction::csr_imm(Opcode::Csrrwi, Gpr::ZERO, csr::FRM, 0b101).unwrap(),
+        Instruction::fp_r_type(Opcode::FaddS, f(1), f(2), f(3), Some(RoundingMode::Dyn)).unwrap(),
+        Instruction::system(Opcode::Ebreak),
+    ];
+    let mut reference = Hart::new(MEM);
+    let mut local = MutantHart::new(MEM, BugScenario::B2ReservedRounding);
+    let short = DiffEngine::new(DiffConfig::default().with_max_steps(16));
+    let want = short.diff(&mut reference, &mut local, &program).unwrap();
+    let DiffVerdict::Diverged(divergence) = &want else {
+        panic!("the b2 mutant must diverge");
+    };
+    assert_eq!(divergence.step, 2);
+    let mut remote = DutSupervisor::spawn(
+        serve_argv(&["--mutant", "b2"]),
+        SupervisorConfig::default(),
+        0,
+    )
+    .unwrap();
+    let long = DiffEngine::new(DiffConfig::default().with_max_steps(240_000));
+    let got = long.diff(&mut reference, &mut remote, &program).unwrap();
+    assert_eq!(remote.take_failure(), None);
+    assert_eq!(got, want);
 }
 
 /// A scheduled child crash becomes exactly one crash finding with the

@@ -729,8 +729,10 @@ impl Campaign {
             }
             match verdict {
                 Err(_) => {
-                    // Unloadable program (cannot happen with in-range
-                    // generator output, but mutation keeps the door open).
+                    // A program the reference cannot load (cannot happen
+                    // with in-range generator output, but mutation keeps
+                    // the door open). One only the DUT refuses is a
+                    // divergence at step 0, not an error.
                 }
                 Ok(DiffVerdict::Agree {
                     steps,

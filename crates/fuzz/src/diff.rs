@@ -1,20 +1,30 @@
 //! Lockstep differential execution: reference vs device under test.
 //!
-//! The [`DiffEngine`] loads the same program into the golden reference
-//! and a [`Dut`] and judges the run once, after it has run: each side
-//! executes as one batched [`Dut::run_into`] with no interior digest
-//! samples, and the two [`BatchOutcome`]s — steps, exit, trap causes,
-//! the single end-of-run sample and both coverage folds — must be
-//! equal. When they differ, the engine replays the program with the
-//! exact per-step loop, [`DiffEngine::diff_exact`], which compares the
-//! outcome and the full architectural digest (registers, CSRs and
-//! memory — catching divergences trace entries cannot see, like a
-//! dropped `fflags` update) after every step. Execution is
-//! deterministic, so the replay reports the first diverging step, and
-//! the [`Divergence`] is the exact loop's, bit for bit. It carries both
-//! sides' [`TraceEntry`]s, which is the paper's bug-scenario
-//! localisation: not just *that* the device differs, but the exact
-//! instruction where it went wrong.
+//! The [`DiffEngine`] judges a program once, after it has run: the
+//! golden reference executes it as one batched [`Dut::run_into`] with no
+//! interior digest samples, the device under test as one
+//! [`Dut::run_program`] (reset, load, run), and the two
+//! [`BatchOutcome`]s — steps, exit, trap causes, the single end-of-run
+//! sample and both coverage folds — must be equal. When they differ, the
+//! engine replays the program exactly, [`DiffEngine::diff_exact`]: it
+//! steps the reference alone, recording each step's outcome and full
+//! architectural digest (registers, CSRs and memory — catching
+//! divergences trace entries cannot see, like a dropped `fflags`
+//! update), and hands that stream to one [`Dut::replay`], which steps
+//! the device against it and stops at the first step that differs.
+//! Execution is deterministic, so the replay reports the first
+//! diverging step, and the [`Divergence`] is what a symmetric per-step
+//! loop over both devices reports, bit for bit. It carries both sides'
+//! [`TraceEntry`]s, which is the paper's bug-scenario localisation: not
+//! just *that* the device differs, but the exact instruction where it
+//! went wrong.
+//!
+//! Because the device under test is driven through these two
+//! whole-program calls only, a backend behind a process boundary
+//! ([`DutSupervisor`](crate::DutSupervisor)) crosses it once per
+//! agreeing program and twice per mismatching one. A device that
+//! refuses to load a program the reference loaded has diverged at step
+//! 0.
 //!
 //! One sample loses no sensitivity: it folds not just the state digest
 //! but the device's cumulative *write history*
@@ -35,7 +45,9 @@
 //! replayed trace regardless of which engine produced them.
 
 use tf_arch::digest::Fnv;
-use tf_arch::{BatchOutcome, BatchTally, Dut, RunExit, StepOutcome, TraceEntry, Trap};
+use tf_arch::{
+    BatchOutcome, BatchTally, Dut, ExecutionTrace, RunExit, StepOutcome, TraceEntry, Trap,
+};
 use tf_riscv::Instruction;
 
 /// A rejected configuration, explaining which invariant failed.
@@ -119,7 +131,11 @@ pub enum DiffVerdict {
 /// The first observed disagreement between reference and DUT.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
-    /// 1-based step index at which the divergence was observed.
+    /// 1-based step index at which the divergence was observed, or `0`
+    /// when the DUT refused to load a program the reference loaded:
+    /// then `reference` is `None`, `dut` carries the load trap at pc 0,
+    /// `reference_digest` is the reference's state after its load and
+    /// `dut_digest` is 0.
     pub step: u64,
     /// What the reference did at that step, when tracing captured it.
     pub reference: Option<TraceEntry>,
@@ -229,17 +245,19 @@ impl DiffEngine {
         DiffEngine { config }
     }
 
-    /// Reset both devices, load `program` into each, run both sides
-    /// until program end (`ebreak`/`ecall`) or the step budget, and
-    /// compare the two outcomes.
+    /// Run `program` from reset on both devices until program end
+    /// (`ebreak`/`ecall`) or the step budget, and compare the two
+    /// outcomes: the reference's, and the DUT's from one
+    /// [`Dut::run_program`].
     ///
     /// A mismatch is localised by [`DiffEngine::diff_exact`], so the
-    /// reported [`Divergence`] is the exact loop's, bit for bit.
+    /// reported [`Divergence`] is the exact loop's, bit for bit. A DUT
+    /// that refuses to load the program diverges at step 0.
     ///
     /// # Errors
     ///
-    /// Returns the [`Trap`] raised when the program cannot be loaded
-    /// (does not fit in memory, or fails to encode).
+    /// Returns the [`Trap`] raised when the reference cannot load the
+    /// program (it does not fit in memory, or fails to encode).
     pub fn diff(
         &self,
         reference: &mut dyn Dut,
@@ -251,15 +269,15 @@ impl DiffEngine {
     }
 
     /// [`DiffEngine::diff`] with caller-owned batch buffers: the batched
-    /// run fills `scratch` via [`Dut::run_into`] instead of allocating
-    /// two fresh [`BatchOutcome`]s, so a campaign's one-batch-per-program
-    /// hot loop never reallocates the sample vectors. The verdict is
-    /// bit-identical to [`DiffEngine::diff`]'s.
+    /// runs fill `scratch` instead of two fresh [`BatchOutcome`]s, so a
+    /// campaign's one-batch-per-program hot loop never reallocates the
+    /// sample vectors. The verdict is bit-identical to
+    /// [`DiffEngine::diff`]'s.
     ///
     /// # Errors
     ///
-    /// Returns the [`Trap`] raised when the program cannot be loaded
-    /// (does not fit in memory, or fails to encode).
+    /// Returns the [`Trap`] raised when the reference cannot load the
+    /// program (it does not fit in memory, or fails to encode).
     pub fn diff_with(
         &self,
         reference: &mut dyn Dut,
@@ -267,86 +285,100 @@ impl DiffEngine {
         program: &[Instruction],
         scratch: &mut DiffScratch,
     ) -> Result<DiffVerdict, Trap> {
-        Self::reset_and_load(reference, dut, program)?;
-        // Trace the reference only: the trace feeds the coverage key on
-        // agreement, and the replay recollects both sides' traces on
-        // mismatch.
+        reference.reset();
+        reference.load(0, program)?;
+        if let Err(trap) = dut.run_program(program, self.config.max_steps, &mut scratch.dut) {
+            return Ok(Self::refused(reference.digest(), trap));
+        }
+        // The reference's trace feeds the coverage key on agreement; a
+        // mismatch is replayed from reset with a fresh trace.
         reference.enable_tracing();
         reference.run_into(self.config.max_steps, 0, &mut scratch.reference);
-        dut.run_into(self.config.max_steps, 0, &mut scratch.dut);
         if scratch.reference == scratch.dut {
-            return Ok(Self::agree(reference, &scratch.reference));
+            return Ok(Self::agree(reference.take_trace(), &scratch.reference));
         }
         self.diff_exact(reference, dut, program)
     }
 
-    /// The exhaustive per-step loop: reset both devices, load `program`
-    /// into each, and compare outcome and digest after every single
-    /// step, stopping at the first difference. The reference side's
-    /// books go through the same [`BatchTally`] its batched runs use,
-    /// so an agreement verdict carries the folds [`DiffEngine::diff`]
-    /// reports.
+    /// The exact replay: step the reference from reset through
+    /// `program`, recording its outcome and digest after every step,
+    /// then have the DUT [`Dut::replay`] that stream, which stops at the
+    /// first step whose outcome or digest differs. The verdict is what
+    /// stepping both devices in lockstep and comparing after every step
+    /// reports. The reference's books go through the same
+    /// [`BatchTally`] its batched runs use, so an agreement verdict
+    /// carries the folds [`DiffEngine::diff`] reports.
     ///
     /// # Errors
     ///
-    /// Returns the [`Trap`] raised when the program cannot be loaded
-    /// (does not fit in memory, or fails to encode).
+    /// Returns the [`Trap`] raised when the reference cannot load the
+    /// program (it does not fit in memory, or fails to encode).
     pub fn diff_exact(
         &self,
         reference: &mut dyn Dut,
         dut: &mut dyn Dut,
         program: &[Instruction],
     ) -> Result<DiffVerdict, Trap> {
-        Self::reset_and_load(reference, dut, program)?;
+        reference.reset();
+        reference.load(0, program)?;
+        let loaded = reference.digest();
         reference.enable_tracing();
-        dut.enable_tracing();
         let mut out = BatchOutcome::default();
+        let mut expected = Vec::new();
         let mut tally = BatchTally::new(self.config.max_steps, 0, &mut out);
         while tally.running() {
             let from = reference.pc();
-            let ref_outcome = reference.step();
-            let dut_outcome = dut.step();
-            tally.record(&*reference, from, ref_outcome);
-            let (reference_digest, dut_digest) = (reference.digest(), dut.digest());
-            if ref_outcome != dut_outcome || reference_digest != dut_digest {
-                let last = |side: &mut dyn Dut| side.take_trace()?.entries().last().copied();
-                return Ok(DiffVerdict::Diverged(Divergence {
-                    step: tally.steps(),
-                    reference: last(reference),
-                    dut: last(dut),
-                    reference_digest,
-                    dut_digest,
-                }));
-            }
+            let outcome = reference.step();
+            tally.record(&*reference, from, outcome);
+            expected.push((outcome, reference.digest()));
         }
-        dut.take_trace();
         tally.finish(&*reference);
-        Ok(Self::agree(reference, &out))
-    }
-
-    /// Reset both sides and load `program` into each at address 0.
-    fn reset_and_load(
-        reference: &mut dyn Dut,
-        dut: &mut dyn Dut,
-        program: &[Instruction],
-    ) -> Result<(), Trap> {
-        reference.reset();
-        dut.reset();
-        reference.load(0, program)?;
-        dut.load(0, program)
+        let trace = reference.take_trace();
+        let stop = match dut.replay(program, &expected) {
+            Err(trap) => return Ok(Self::refused(loaded, trap)),
+            Ok(None) => return Ok(Self::agree(trace, &out)),
+            Ok(Some(stop)) => stop,
+        };
+        let at = (stop.step - 1) as usize;
+        Ok(DiffVerdict::Diverged(Divergence {
+            step: stop.step,
+            reference: trace.and_then(|t| t.entries().get(at).copied()),
+            dut: stop.entry,
+            reference_digest: expected[at].1,
+            dut_digest: stop.digest,
+        }))
     }
 
     /// The agreement verdict of a run whose reference side produced
-    /// `batch`: the batched and the exact path both end here.
-    fn agree(reference: &mut dyn Dut, batch: &BatchOutcome) -> DiffVerdict {
+    /// `batch` and `trace`: the batched and the exact path both end
+    /// here.
+    fn agree(trace: Option<ExecutionTrace>, batch: &BatchOutcome) -> DiffVerdict {
         DiffVerdict::Agree {
             steps: batch.steps,
             exit: batch.exit,
-            trace_digest: reference.take_trace().map_or(0, |t| t.digest()),
+            trace_digest: trace.map_or(0, |t| t.digest()),
             trap_causes: batch.trap_causes,
             pc_pairs: batch.pc_pairs,
             op_classes: batch.op_classes,
         }
+    }
+
+    /// The verdict on a program the DUT refused with `trap` after the
+    /// reference loaded it into the state `reference_digest`: a
+    /// divergence before the first step.
+    fn refused(reference_digest: u64, trap: Trap) -> DiffVerdict {
+        DiffVerdict::Diverged(Divergence {
+            step: 0,
+            reference: None,
+            dut: Some(TraceEntry {
+                pc: 0,
+                word: None,
+                outcome: StepOutcome::Trapped(trap),
+                def: None,
+            }),
+            reference_digest,
+            dut_digest: 0,
+        })
     }
 }
 
@@ -527,6 +559,41 @@ mod tests {
         let program = vec![Instruction::nop(); 32];
         let err = engine.diff(&mut reference, &mut dut, &program).unwrap_err();
         assert!(matches!(err, Trap::StoreFault { .. }));
+    }
+
+    #[test]
+    fn a_dut_that_refuses_the_program_diverges_at_step_zero() {
+        // 32 words do not fit in the DUT's 64 bytes: its load faults on
+        // the 17th store, while the reference loads the program.
+        let engine = DiffEngine::new(DiffConfig::default().with_max_steps(10));
+        let program = vec![Instruction::nop(); 32];
+        let mut reference = Hart::new(MEM);
+        let mut dut = Hart::new(64);
+        let verdict = engine.diff(&mut reference, &mut dut, &program).unwrap();
+        let DiffVerdict::Diverged(divergence) = &verdict else {
+            panic!("a refused program must diverge, got {verdict:?}");
+        };
+        assert_eq!(divergence.step, 0);
+        assert_eq!(divergence.reference, None);
+        assert_eq!(
+            divergence.dut,
+            Some(TraceEntry {
+                pc: 0,
+                word: None,
+                outcome: StepOutcome::Trapped(Trap::StoreFault { addr: 64 }),
+                def: None,
+            })
+        );
+        let mut loaded = Hart::new(MEM);
+        loaded.load_program(0, &program).unwrap();
+        assert_eq!(divergence.reference_digest, Dut::digest(&loaded));
+        assert_eq!(divergence.dut_digest, 0);
+        let report = divergence.to_string();
+        assert!(report.contains("divergence at step 0"), "{report}");
+        assert!(report.contains("tval=0x40"), "{report}");
+        // The exact replay reaches the same verdict.
+        let exact = engine.diff_exact(&mut reference, &mut dut, &program);
+        assert_eq!(exact.unwrap(), verdict);
     }
 
     #[test]

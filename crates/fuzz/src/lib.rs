@@ -19,12 +19,14 @@
 //!   turns into energy-weighted selection — uniform, AFL-fast-flavoured
 //!   or explore — without giving up bit-determinism.
 //! * [`DiffEngine`] — lockstep reference-vs-DUT execution (configured
-//!   by [`DiffConfig`]): each side runs the program as one batched
-//!   [`tf_arch::Dut::run_into`], the two outcomes are compared once at
-//!   the end of the run, and a mismatching run is replayed step at a
-//!   time ([`DiffEngine::diff_exact`]) so the reported [`Divergence`] —
-//!   down to the first diverging [`tf_arch::TraceEntry`] — is the exact
-//!   loop's.
+//!   by [`DiffConfig`]): the reference runs the program as one batched
+//!   [`tf_arch::Dut::run_into`], the DUT as one
+//!   [`tf_arch::Dut::run_program`], the two outcomes are compared once
+//!   at the end of the run, and a mismatching run is replayed step at a
+//!   time ([`DiffEngine::diff_exact`]: the reference's recorded steps
+//!   against one [`tf_arch::Dut::replay`]) so the reported
+//!   [`Divergence`] — down to the first diverging
+//!   [`tf_arch::TraceEntry`] — is the exact loop's.
 //! * [`CampaignDriver`] — the single entry point for running campaigns:
 //!   a builder (`with_jobs`, `with_corpus`, `with_resume`,
 //!   `with_event_sink`, …) whose [`CampaignDriver::run`] owns one worker
@@ -54,8 +56,9 @@
 //!   uninterrupted run) and corpora shareable between runs.
 //! * [`proto`] / [`remote`] / [`mod@serve`] — the out-of-process DUT
 //!   boundary: a versioned, length-prefixed wire protocol over
-//!   stdin/stdout, the fault-tolerant [`DutSupervisor`] client
-//!   (per-batch deadline, bounded respawn with exponential backoff,
+//!   stdin/stdout with one frame per judged program, the
+//!   fault-tolerant [`DutSupervisor`] client (per-request deadline,
+//!   bounded respawn with exponential backoff,
 //!   crash/hang/desync surfaced as campaign [`Finding`]s) and the
 //!   server loop behind `tf-cli serve`, whose deterministic chaos
 //!   injection makes the whole failure path hermetically testable.

@@ -2,11 +2,16 @@
 //! frames over a byte stream (the stdin/stdout pipes of a `tf-cli
 //! serve` child, or any other process speaking the same format).
 //!
-//! The protocol is deliberately batch-oriented: the campaign hot loop
-//! exchanges exactly one `Run` frame (and one `BatchOutcome` reply) per
-//! generated program, never a step-at-a-time RPC — per-step requests
-//! (`Step`, `Digest`) exist only for exact divergence replay, which the
-//! engine enters only when a run's end-of-run comparison mismatches.
+//! The protocol is program-oriented: the campaign hot loop sends one
+//! [`Request::RunProgram`] per judged program (reset, load and run in
+//! one round trip, answered with the [`BatchOutcome`]) and, only when a
+//! run's end-of-run comparison mismatches, one [`Request::Replay`]
+//! carrying the reference's recorded step stream, answered with where
+//! the device first differed. A program the device refuses to load is
+//! answered with [`Response::Loaded`] instead. The per-call frames
+//! (`Reset`, `Load`, `Run`, `Step`, `Digest`, `TraceOn`, `TraceTake`)
+//! mirror the single [`tf_arch::Dut`] methods for callers that drive
+//! the device one call at a time; the differential engine does not.
 //! Every frame is a record frame of the corpus format, written by the
 //! same code (see [`crate::persist`]):
 //!
@@ -19,7 +24,8 @@
 //! header before the length desynchronizes the stream; the payload
 //! checksum catches corrupt bodies. Either way the connection is
 //! untrustworthy afterwards and the supervisor tears it down as a
-//! *desync* finding.
+//! *desync* finding. A payload is at most 4 MiB; a replay stream that
+//! would not fit is replayed with per-call frames.
 //!
 //! The session starts with a handshake: the server speaks first with
 //! [`Response::Hello`] (protocol version, digest-scheme fingerprint,
@@ -33,7 +39,7 @@
 use std::io::{ErrorKind, Read, Write};
 
 use tf_arch::digest::STABILITY_FINGERPRINT;
-use tf_arch::{BatchOutcome, RunExit, StepOutcome, TraceEntry, Trap};
+use tf_arch::{BatchOutcome, ReplayStop, RunExit, StepOutcome, TraceEntry, Trap};
 
 use crate::persist::{
     checksum, frame_check, read_outcome, read_trace_entry, read_trap, write_outcome, write_record,
@@ -42,13 +48,24 @@ use crate::persist::{
 
 /// Wire-protocol version. Bumped on any frame-layout change; both sides
 /// reject a peer speaking another version during the handshake.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// Version 2 added the whole-program [`Request::RunProgram`] and
+/// [`Request::Replay`] frames.
+pub const PROTOCOL_VERSION: u32 = 2;
 
-/// Upper bound on a frame payload. Honest peers stay far below it
-/// (programs are tens of instructions, traces a few hundred entries);
-/// anything larger is treated as a garbled stream rather than an
-/// allocation request.
+/// Upper bound on a frame payload. Honest peers stay below it (programs
+/// are tens of instructions, traces a few hundred entries, and a longer
+/// replay stream goes per call, see [`replay_fits`]); anything larger
+/// is treated as a garbled stream rather than an allocation request.
 const MAX_PAYLOAD: u32 = 1 << 22;
+
+/// Whether a [`Request::Replay`] of a `words`-word program against
+/// `steps` expected steps fits in one frame. Its payload is at most
+/// `8 + 4 * words + 25 * steps` bytes: two counts, the words, and per
+/// step an outcome (5 bytes retired, 17 trapped) and an 8-byte digest.
+#[must_use]
+pub(crate) fn replay_fits(words: usize, steps: usize) -> bool {
+    8 + 4 * words as u64 + 25 * steps as u64 <= u64::from(MAX_PAYLOAD)
+}
 
 // Client → server frame tags.
 const TAG_REQ_HELLO: u8 = 0x01;
@@ -60,6 +77,8 @@ const TAG_REQ_DIGEST: u8 = 0x06;
 const TAG_REQ_TRACE_ON: u8 = 0x07;
 const TAG_REQ_TRACE_TAKE: u8 = 0x08;
 const TAG_REQ_SHUTDOWN: u8 = 0x09;
+const TAG_REQ_RUN_PROGRAM: u8 = 0x0A;
+const TAG_REQ_REPLAY: u8 = 0x0B;
 
 // Server → client frame tags (disjoint from request tags so a frame
 // echoed into the wrong direction is caught as garbage, not misparsed).
@@ -70,20 +89,22 @@ const TAG_RSP_BATCH: u8 = 0x44;
 const TAG_RSP_STEPPED: u8 = 0x45;
 const TAG_RSP_DIGESTED: u8 = 0x46;
 const TAG_RSP_TRACE: u8 = 0x47;
+const TAG_RSP_REPLAYED: u8 = 0x48;
 
 /// One client → server message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// Handshake reply: the client's protocol version and digest-scheme
     /// fingerprint (both must match the server's), plus the cumulative
-    /// count of `Run` frames already issued to this child's lineage —
-    /// the offset deterministic chaos schedules resume counting from.
+    /// count of batches already issued to this child's lineage — `Run`
+    /// frames and `RunProgram` frames whose program loaded — the offset
+    /// deterministic chaos schedules resume counting from.
     Hello {
         /// [`PROTOCOL_VERSION`] of the client build.
         version: u32,
         /// [`STABILITY_FINGERPRINT`] of the client build.
         fingerprint: u64,
-        /// `Run` frames issued before this connection was (re)opened.
+        /// Batches issued before this connection was (re)opened.
         batch_offset: u64,
     },
     /// [`tf_arch::Dut::reset`]. Answered with [`Response::Ok`].
@@ -116,6 +137,26 @@ pub enum Request {
     TraceTake,
     /// Orderly goodbye; the server exits cleanly without replying.
     Shutdown,
+    /// [`tf_arch::Dut::run_program`]: reset, load the words at address
+    /// 0 and run — the frame the hot loop lives on. Answered with
+    /// [`Response::Batch`], or with [`Response::Loaded`] carrying the
+    /// trap when the device refuses the program.
+    RunProgram {
+        /// Step budget for the run.
+        max_steps: u64,
+        /// `encode_lossy` words of the program, in order.
+        words: Vec<u32>,
+    },
+    /// [`tf_arch::Dut::replay`]: reset, load the words at address 0 and
+    /// step against the expected stream. Answered with
+    /// [`Response::Replayed`], or with [`Response::Loaded`] carrying
+    /// the trap when the device refuses the program.
+    Replay {
+        /// `encode_lossy` words of the program, in order.
+        words: Vec<u32>,
+        /// The reference's outcome and digest after each of its steps.
+        expected: Vec<(StepOutcome, u64)>,
+    },
 }
 
 /// One server → client message.
@@ -134,9 +175,10 @@ pub enum Response {
     },
     /// Acknowledgement for `Reset` / `TraceOn`.
     Ok,
-    /// `Load` result: `None` on success, the load [`Trap`] otherwise.
+    /// `Load` result: `None` on success, the load [`Trap`] otherwise;
+    /// also `RunProgram`'s and `Replay`'s answer to a refused program.
     Loaded(Option<Trap>),
-    /// `Run` result.
+    /// `Run` and `RunProgram` result.
     Batch(BatchOutcome),
     /// `Step` result.
     Stepped(StepOutcome),
@@ -144,6 +186,8 @@ pub enum Response {
     Digested(u64),
     /// `TraceTake` result.
     Trace(Option<Vec<TraceEntry>>),
+    /// `Replay` result: where the device first differed, or `None`.
+    Replayed(Option<ReplayStop>),
 }
 
 /// Why a frame could not be read.
@@ -226,6 +270,20 @@ fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), WireError> {
 
 // ---- request serialization --------------------------------------------
 
+fn write_words(c: &mut Cursor, words: &[u32]) {
+    c.u32(words.len() as u32);
+    words.iter().for_each(|&word| c.u32(word));
+}
+
+fn read_words(s: &mut Slice) -> Option<Vec<u32>> {
+    let count = s.u32()? as usize;
+    let mut words = Vec::with_capacity(count.min(1 << 16));
+    for _ in 0..count {
+        words.push(s.u32()?);
+    }
+    Some(words)
+}
+
 /// Write one request frame (flushes, so the server sees it now).
 ///
 /// # Errors
@@ -247,8 +305,7 @@ pub fn write_request(w: &mut impl Write, request: &Request) -> std::io::Result<(
         Request::Reset => TAG_REQ_RESET,
         Request::Load { base, words } => {
             c.u64(*base);
-            c.u32(words.len() as u32);
-            words.iter().for_each(|&word| c.u32(word));
+            write_words(&mut c, words);
             TAG_REQ_LOAD
         }
         Request::Run {
@@ -264,6 +321,20 @@ pub fn write_request(w: &mut impl Write, request: &Request) -> std::io::Result<(
         Request::TraceOn => TAG_REQ_TRACE_ON,
         Request::TraceTake => TAG_REQ_TRACE_TAKE,
         Request::Shutdown => TAG_REQ_SHUTDOWN,
+        Request::RunProgram { max_steps, words } => {
+            c.u64(*max_steps);
+            write_words(&mut c, words);
+            TAG_REQ_RUN_PROGRAM
+        }
+        Request::Replay { words, expected } => {
+            write_words(&mut c, words);
+            c.u32(expected.len() as u32);
+            for (outcome, digest) in expected {
+                write_outcome(&mut c, outcome);
+                c.u64(*digest);
+            }
+            TAG_REQ_REPLAY
+        }
     };
     write_frame(w, tag, &c.bytes)
 }
@@ -285,15 +356,10 @@ pub fn read_request(r: &mut impl Read) -> Result<Request, WireError> {
             batch_offset: s.u64().ok_or_else(garbled)?,
         },
         TAG_REQ_RESET => Request::Reset,
-        TAG_REQ_LOAD => {
-            let base = s.u64().ok_or_else(garbled)?;
-            let count = s.u32().ok_or_else(garbled)? as usize;
-            let mut words = Vec::with_capacity(count.min(1 << 16));
-            for _ in 0..count {
-                words.push(s.u32().ok_or_else(garbled)?);
-            }
-            Request::Load { base, words }
-        }
+        TAG_REQ_LOAD => Request::Load {
+            base: s.u64().ok_or_else(garbled)?,
+            words: read_words(&mut s).ok_or_else(garbled)?,
+        },
         TAG_REQ_RUN => Request::Run {
             max_steps: s.u64().ok_or_else(garbled)?,
             digest_every: s.u64().ok_or_else(garbled)?,
@@ -303,6 +369,20 @@ pub fn read_request(r: &mut impl Read) -> Result<Request, WireError> {
         TAG_REQ_TRACE_ON => Request::TraceOn,
         TAG_REQ_TRACE_TAKE => Request::TraceTake,
         TAG_REQ_SHUTDOWN => Request::Shutdown,
+        TAG_REQ_RUN_PROGRAM => Request::RunProgram {
+            max_steps: s.u64().ok_or_else(garbled)?,
+            words: read_words(&mut s).ok_or_else(garbled)?,
+        },
+        TAG_REQ_REPLAY => {
+            let words = read_words(&mut s).ok_or_else(garbled)?;
+            let count = s.u32().ok_or_else(garbled)? as usize;
+            let mut expected = Vec::with_capacity(count.min(1 << 16));
+            for _ in 0..count {
+                let outcome = read_outcome(&mut s).ok_or_else(garbled)?;
+                expected.push((outcome, s.u64().ok_or_else(garbled)?));
+            }
+            Request::Replay { words, expected }
+        }
         _ => return Err(WireError::Garbled("unknown request tag")),
     };
     s.exhausted()
@@ -400,6 +480,18 @@ pub fn write_response(w: &mut impl Write, response: &Response) -> std::io::Resul
             }
             TAG_RSP_TRACE
         }
+        Response::Replayed(stop) => {
+            match stop {
+                None => c.u8(0),
+                Some(stop) => {
+                    c.u8(1);
+                    c.u64(stop.step);
+                    write_trace_entry(&mut c, stop.entry.as_ref());
+                    c.u64(stop.digest);
+                }
+            }
+            TAG_RSP_REPLAYED
+        }
     };
     write_frame(w, tag, &c.bytes)
 }
@@ -464,6 +556,15 @@ pub fn read_response(r: &mut impl Read) -> Result<Response, WireError> {
                 Response::Trace(Some(entries))
             }
         }
+        TAG_RSP_REPLAYED => Response::Replayed(if s.u8().ok_or_else(garbled)? == 0 {
+            None
+        } else {
+            Some(ReplayStop {
+                step: s.u64().ok_or_else(garbled)?,
+                entry: read_trace_entry(&mut s).ok_or_else(garbled)?,
+                digest: s.u64().ok_or_else(garbled)?,
+            })
+        }),
         _ => return Err(WireError::Garbled("unknown response tag")),
     };
     s.exhausted()

@@ -16,19 +16,28 @@
 //!   a well-formed frame of the wrong kind) mean the stream can no
 //!   longer be trusted: a *desync*, and the child is killed.
 //! * **Bounded respawn with exponential backoff** — after a failure the
-//!   next [`Dut::reset`] respawns a fresh child, waiting
-//!   [`backoff_delay`] first; [`SupervisorConfig::max_consecutive_failures`]
-//!   failures without an intervening successful response exhaust the
-//!   budget and the supervisor goes permanently inert.
+//!   next program's first call ([`Dut::run_program`], [`Dut::replay`] or
+//!   [`Dut::reset`]) respawns a fresh child, waiting [`backoff_delay`]
+//!   first; [`SupervisorConfig::max_consecutive_failures`] failures
+//!   without an intervening successful response exhaust the budget and
+//!   the supervisor goes permanently inert.
 //! * **Graceful degradation** — failures never panic and never abort
 //!   the campaign mid-verdict. The supervisor parks a
 //!   [`DutFailure`] for [`Dut::take_failure`], answers everything with
 //!   inert placeholders until the campaign drains it, and the campaign
 //!   records the finding and keeps fuzzing on the respawned child.
 //!
-//! Determinism: the supervisor counts every `Run` frame it issues
-//! ([`DutSupervisor::batches_issued`]) and hands the count to each new
-//! child in the handshake, so the server's deterministic chaos
+//! One frame per call: [`Dut::run_program`] and [`Dut::replay`] each
+//! send one whole-program frame, so the differential engine crosses the
+//! process boundary once per agreeing program and twice per mismatching
+//! one. A replay stream too long for one frame falls back to
+//! [`replay_per_call`]. The other [`Dut`] methods send one per-call
+//! frame each, for callers that drive the device one call at a time.
+//!
+//! Determinism: the supervisor counts every batch it issues — `Run`
+//! frames, and `RunProgram` frames whose program the child did not
+//! refuse — ([`DutSupervisor::batches_issued`]) and hands the count to
+//! each new child in the handshake, so the server's deterministic chaos
 //! schedules fire at the same cumulative batch ordinal across respawns
 //! *and* across checkpoint/resume.
 
@@ -36,13 +45,17 @@ use std::cell::RefCell;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use tf_arch::{BatchOutcome, Dut, DutFailure, DutFailureKind, ExecutionTrace, StepOutcome, Trap};
+use tf_arch::{
+    replay_per_call, BatchOutcome, Dut, DutFailure, DutFailureKind, ExecutionTrace, ReplayStop,
+    StepOutcome, Trap,
+};
 use tf_riscv::Instruction;
 
 use crate::proto::{
-    check_handshake, read_response, write_request, Request, Response, WireError, PROTOCOL_VERSION,
+    check_handshake, read_response, replay_fits, write_request, Request, Response, WireError,
+    PROTOCOL_VERSION,
 };
 use tf_arch::digest::STABILITY_FINGERPRINT;
 
@@ -114,7 +127,7 @@ struct Link {
     child: Child,
     stdin: ChildStdin,
     rx: mpsc::Receiver<Result<Response, &'static str>>,
-    reader: Option<JoinHandle<()>>,
+    reader: JoinHandle<()>,
 }
 
 impl Link {
@@ -161,7 +174,7 @@ impl Link {
             child,
             stdin,
             rx,
-            reader: Some(reader),
+            reader,
         };
         match link.await_hello(deadline, batch_offset) {
             Ok(name) => Ok((link, name)),
@@ -207,26 +220,38 @@ impl Link {
     }
 
     /// Hard teardown: kill, reap, join the reader.
-    fn kill(mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.join();
-        }
+    fn kill(self) {
+        self.reap(Duration::ZERO);
     }
 
-    /// Orderly teardown: ask the server to exit, give it a moment, then
-    /// make sure.
+    /// Orderly teardown: ask the server to exit, then reap it.
     fn shutdown(mut self) {
         let _ = write_request(&mut self.stdin, &Request::Shutdown);
-        for _ in 0..20 {
-            match self.child.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) => std::thread::sleep(Duration::from_millis(5)),
-                Err(_) => break,
+        self.reap(Duration::from_millis(100));
+    }
+
+    /// Close the child's input and give it `grace` to close its output
+    /// (the reader thread then sees EOF and drops the channel's
+    /// sender), discarding any frame it still sends; then kill it if it
+    /// still runs, collect its exit status and join the reader.
+    fn reap(self, grace: Duration) {
+        let Link {
+            mut child,
+            stdin,
+            rx,
+            reader,
+        } = self;
+        drop(stdin);
+        let until = Instant::now() + grace;
+        loop {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() || rx.recv_timeout(left).is_err() {
+                break;
             }
         }
-        self.kill();
+        let _ = child.kill();
+        let _ = child.wait();
+        let _ = reader.join();
     }
 }
 
@@ -267,7 +292,8 @@ fn status_detail(status: std::process::ExitStatus) -> String {
 #[derive(Debug)]
 struct Inner {
     link: Option<Link>,
-    /// `Run` frames issued across the whole child lineage.
+    /// Batches issued across the whole child lineage: `Run` frames and
+    /// `RunProgram` frames the child did not refuse.
     issued: u64,
     /// Successful respawns performed (the initial spawn not counted).
     respawns: u64,
@@ -316,10 +342,11 @@ impl Inner {
         if self.inert() {
             return None;
         }
-        if matches!(request, Request::Run { .. }) {
+        if matches!(request, Request::Run { .. } | Request::RunProgram { .. }) {
             // Counted at issue time — a batch that kills the child still
             // consumed the server-side chaos ordinal, and respawned or
             // resumed children must continue from the frame *after* it.
+            // A refused program gives its count back.
             self.issued += 1;
         }
         let link = self.link.as_mut().expect("checked by inert()");
@@ -407,7 +434,7 @@ impl DutSupervisor {
         })
     }
 
-    /// Total `Run` frames issued across all children so far — the value
+    /// Total batches issued across all children so far — the value
     /// checkpoints persist so `--resume` keeps chaos schedules aligned.
     #[must_use]
     pub fn batches_issued(&self) -> u64 {
@@ -441,10 +468,20 @@ impl DutSupervisor {
         );
     }
 
-    /// Bring a fresh child up after a failure (called from
-    /// [`Dut::reset`], the campaign's natural re-seeding point): sleep
-    /// the backoff, spawn, handshake with the lineage's issued-batch
-    /// offset, and verify the served DUT is still the same device.
+    /// Bring a fresh child up when a drained failure took the last one
+    /// down. Called first by every call that starts a program
+    /// ([`Dut::run_program`], [`Dut::replay`], [`Dut::reset`]), the
+    /// campaign's natural re-seeding point.
+    fn reconnect(&self) {
+        let mut inner = self.inner.borrow_mut();
+        if !inner.dead && inner.pending.is_none() && inner.link.is_none() {
+            self.respawn(&mut inner);
+        }
+    }
+
+    /// Sleep the backoff, spawn, handshake with the lineage's
+    /// issued-batch offset, and verify the served DUT is still the same
+    /// device; repeat until a child is up or the budget is spent.
     fn respawn(&self, inner: &mut Inner) {
         while inner.link.is_none() && !inner.dead {
             std::thread::sleep(backoff_delay(
@@ -482,6 +519,15 @@ impl DutSupervisor {
 /// looking at it.
 const INERT_STEP: StepOutcome = StepOutcome::Trapped(Trap::Breakpoint { addr: 0 });
 
+/// The placeholder a failed backend answers [`Dut::replay`] with: a
+/// difference at the first step, with no trace entry and the inert
+/// digest — where a replay over [`INERT_STEP`] stops.
+const INERT_STOP: ReplayStop = ReplayStop {
+    step: 1,
+    entry: None,
+    digest: 0,
+};
+
 impl Dut for DutSupervisor {
     fn name(&self) -> &'static str {
         self.name_static
@@ -496,15 +542,7 @@ impl Dut for DutSupervisor {
     }
 
     fn reset(&mut self) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            if inner.dead || inner.pending.is_some() {
-                return;
-            }
-            if inner.link.is_none() {
-                self.respawn(&mut inner);
-            }
-        }
+        self.reconnect();
         match self.transact(&Request::Reset) {
             Some(Response::Ok) | None => {}
             Some(_) => self.protocol_desync("unexpected response to reset"),
@@ -567,32 +605,79 @@ impl Dut for DutSupervisor {
         self.inner.borrow_mut().pending.take()
     }
 
+    /// Failed batches read as the inert placeholder: zero steps and no
+    /// samples can never equal a real reference outcome (which always
+    /// carries a final sample), so the run is a mismatch whose verdict
+    /// the campaign discards after draining the failure.
     fn run_into(&mut self, max_steps: u64, digest_every: u64, out: &mut BatchOutcome) {
-        // Inert placeholder first: zero steps and no samples can never
-        // equal a real reference outcome (which always carries a final
-        // sample), so a failed batch reads as a mismatch whose verdict
-        // the campaign discards after draining the failure.
-        let inert = BatchOutcome::default();
-        out.steps = inert.steps;
-        out.exit = inert.exit;
-        out.trap_causes = inert.trap_causes;
-        out.samples.clear();
-        out.pc_pairs = inert.pc_pairs;
-        out.op_classes = inert.op_classes;
-        match self.transact(&Request::Run {
+        *out = match self.transact(&Request::Run {
             max_steps,
             digest_every,
         }) {
-            Some(Response::Batch(batch)) => {
-                out.steps = batch.steps;
-                out.exit = batch.exit;
-                out.trap_causes = batch.trap_causes;
-                out.samples.extend_from_slice(&batch.samples);
-                out.pc_pairs = batch.pc_pairs;
-                out.op_classes = batch.op_classes;
+            Some(Response::Batch(batch)) => batch,
+            None => BatchOutcome::default(),
+            Some(_) => {
+                self.protocol_desync("unexpected response to run");
+                BatchOutcome::default()
             }
-            None => {}
-            Some(_) => self.protocol_desync("unexpected response to run"),
+        };
+    }
+
+    /// One `RunProgram` frame. A failed run reads as [`Dut::run_into`]'s
+    /// inert placeholder.
+    fn run_program(
+        &mut self,
+        program: &[Instruction],
+        max_steps: u64,
+        out: &mut BatchOutcome,
+    ) -> Result<(), Trap> {
+        self.reconnect();
+        let words = program.iter().map(Instruction::encode_lossy).collect();
+        *out = match self.transact(&Request::RunProgram { max_steps, words }) {
+            Some(Response::Batch(batch)) => batch,
+            Some(Response::Loaded(Some(trap))) => {
+                self.inner.borrow_mut().issued -= 1;
+                return Err(trap);
+            }
+            None => BatchOutcome::default(),
+            Some(_) => {
+                self.protocol_desync("unexpected response to run-program");
+                BatchOutcome::default()
+            }
+        };
+        Ok(())
+    }
+
+    /// One `Replay` frame, or [`replay_per_call`] when the stream does
+    /// not fit in one. A failed replay stops at the first step, with no
+    /// trace entry and digest 0; a stop outside the expected stream is
+    /// a desync.
+    fn replay(
+        &mut self,
+        program: &[Instruction],
+        expected: &[(StepOutcome, u64)],
+    ) -> Result<Option<ReplayStop>, Trap> {
+        if !replay_fits(program.len(), expected.len()) {
+            return replay_per_call(self, program, expected);
+        }
+        self.reconnect();
+        let request = Request::Replay {
+            words: program.iter().map(Instruction::encode_lossy).collect(),
+            expected: expected.to_vec(),
+        };
+        let steps = 1..=expected.len() as u64;
+        match self.transact(&request) {
+            Some(Response::Replayed(stop))
+                if stop.as_ref().is_none_or(|stop| steps.contains(&stop.step)) =>
+            {
+                Ok(stop)
+            }
+            Some(Response::Loaded(Some(trap))) => Err(trap),
+            None => Ok(Some(INERT_STOP)),
+            Some(_) => {
+                self.protocol_desync("unexpected response to replay");
+                Ok(Some(INERT_STOP))
+            }
         }
     }
 }

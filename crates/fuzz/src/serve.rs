@@ -1,17 +1,22 @@
 //! The server side of the remote-DUT protocol: run any in-process
 //! [`Dut`] behind [`crate::proto`] frames on a byte stream — what
 //! `tf-cli serve [--mutant <scenario>]` wraps around stdin/stdout.
+//! Every frame is answered with the served device's own method: a
+//! `RunProgram` frame with its [`Dut::run_program`], a `Replay` frame
+//! with its [`Dut::replay`], each per-call frame with the matching
+//! single method.
 //!
 //! Besides the honest path, the server carries deterministic
 //! fault-injection ([`ChaosConfig`]): at a configured cumulative batch
 //! ordinal it crashes, hangs or garbles its stream *once*, making every
 //! supervisor failure path — deadline, kill, respawn, backoff, finding
 //! capture — hermetically and bit-deterministically testable with no
-//! external simulator. The triggers count `Run` frames across the whole
-//! child *lineage*: the client's handshake carries the number of
-//! batches already issued (to previous incarnations, or before a
-//! checkpoint), so a respawned or resumed child continues the count
-//! instead of re-firing the same fault forever.
+//! external simulator. The triggers count batches — `Run` frames, and
+//! `RunProgram` frames whose program loaded — across the whole child
+//! *lineage*: the client's handshake carries the number of batches
+//! already issued (to previous incarnations, or before a checkpoint),
+//! so a respawned or resumed child continues the count instead of
+//! re-firing the same fault forever.
 
 use std::io::{Read, Write};
 
@@ -23,8 +28,9 @@ use crate::proto::{
 };
 use tf_arch::digest::STABILITY_FINGERPRINT;
 
-/// Deterministic fault-injection schedule, counted in cumulative `Run`
-/// batches (0-based). Each trigger fires at most once per campaign:
+/// Deterministic fault-injection schedule, counted in cumulative
+/// batches (0-based): `Run` frames, and `RunProgram` frames whose
+/// program loaded. Each trigger fires at most once per campaign:
 /// when the counter *equals* the configured ordinal. When several
 /// triggers name the same ordinal, crash wins over hang over garble.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -35,6 +41,32 @@ pub struct ChaosConfig {
     pub hang_after: Option<u64>,
     /// Send a checksum-corrupted frame at this batch ordinal, then exit.
     pub garble_after: Option<u64>,
+}
+
+impl ChaosConfig {
+    /// Fire the trigger scheduled at batch ordinal `batch`, if any, in
+    /// place of that batch's answer. `Some` ends the session.
+    fn fire(
+        &self,
+        batch: u64,
+        output: &mut impl Write,
+    ) -> Result<Option<ServeOutcome>, ServeError> {
+        if self.crash_after == Some(batch) {
+            return Ok(Some(ServeOutcome::ChaosCrash));
+        }
+        if self.hang_after == Some(batch) {
+            // Deliberately wedge: the supervisor's deadline must fire
+            // and kill this process.
+            loop {
+                std::thread::sleep(std::time::Duration::from_secs(3600));
+            }
+        }
+        if self.garble_after == Some(batch) {
+            crate::proto::write_garbled_frame(output)?;
+            return Ok(Some(ServeOutcome::ChaosGarbled));
+        }
+        Ok(None)
+    }
 }
 
 /// How a [`serve`] session ended.
@@ -107,7 +139,7 @@ pub fn serve(
             name: dut.name().to_string(),
         },
     )?;
-    // Cumulative `Run` ordinal across the child lineage; the client's
+    // Cumulative batch ordinal across the child lineage; the client's
     // hello rebases it for respawned/resumed children.
     let mut batches: u64 = 0;
     let mut scratch = BatchOutcome::default();
@@ -141,23 +173,35 @@ pub fn serve(
                 max_steps,
                 digest_every,
             } => {
-                if chaos.crash_after == Some(batches) {
-                    return Ok(ServeOutcome::ChaosCrash);
-                }
-                if chaos.hang_after == Some(batches) {
-                    // Deliberately wedge: the supervisor's deadline must
-                    // fire and kill this process.
-                    loop {
-                        std::thread::sleep(std::time::Duration::from_secs(3600));
-                    }
-                }
-                if chaos.garble_after == Some(batches) {
-                    crate::proto::write_garbled_frame(output)?;
-                    return Ok(ServeOutcome::ChaosGarbled);
+                if let Some(end) = chaos.fire(batches, output)? {
+                    return Ok(end);
                 }
                 batches += 1;
                 dut.run_into(max_steps, digest_every, &mut scratch);
                 write_response(output, &Response::Batch(scratch.clone()))?;
+            }
+            Request::RunProgram { max_steps, words } => {
+                let ran = decode_program(&words)
+                    .and_then(|program| dut.run_program(&program, max_steps, &mut scratch));
+                // A refused program is no batch: it consumes no ordinal.
+                if let Err(trap) = ran {
+                    write_response(output, &Response::Loaded(Some(trap)))?;
+                    continue;
+                }
+                if let Some(end) = chaos.fire(batches, output)? {
+                    return Ok(end);
+                }
+                batches += 1;
+                write_response(output, &Response::Batch(scratch.clone()))?;
+            }
+            Request::Replay { words, expected } => {
+                let response = match decode_program(&words)
+                    .and_then(|program| dut.replay(&program, &expected))
+                {
+                    Ok(stop) => Response::Replayed(stop),
+                    Err(trap) => Response::Loaded(Some(trap)),
+                };
+                write_response(output, &response)?;
             }
             Request::Step => {
                 write_response(output, &Response::Stepped(dut.step()))?;

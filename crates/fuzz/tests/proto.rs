@@ -6,7 +6,7 @@
 use std::io::Cursor;
 
 use tf_arch::digest::STABILITY_FINGERPRINT;
-use tf_arch::{Hart, StepOutcome, TraceEntry, Trap};
+use tf_arch::{Hart, ReplayStop, StepOutcome, TraceEntry, Trap};
 use tf_fuzz::prelude::*;
 use tf_fuzz::proto::{
     check_handshake, read_request, read_response, write_garbled_frame, write_request,
@@ -34,10 +34,58 @@ fn generated_program(seed: u64, len: usize) -> Vec<Instruction> {
     ProgramGenerator::new(library, seed).generate(len)
 }
 
+/// A request stream opened by a compatible client hello.
+fn client_hello(batch_offset: u64) -> Vec<u8> {
+    let mut requests = Vec::new();
+    write_request(
+        &mut requests,
+        &Request::Hello {
+            version: PROTOCOL_VERSION,
+            fingerprint: STABILITY_FINGERPRINT,
+            batch_offset,
+        },
+    )
+    .unwrap();
+    requests
+}
+
+fn words_of(program: &[Instruction]) -> Vec<u32> {
+    program.iter().map(Instruction::encode_lossy).collect()
+}
+
+/// The golden hart's outcome and digest after each step of `program`,
+/// from reset, up to `max_steps` or its exit — the stream a replay is
+/// judged against.
+fn expected_stream(program: &[Instruction], max_steps: u64) -> Vec<(StepOutcome, u64)> {
+    let mut hart = Hart::new(MEM);
+    hart.load(0, program).unwrap();
+    let mut expected = Vec::new();
+    while (expected.len() as u64) < max_steps {
+        let outcome = Dut::step(&mut hart);
+        expected.push((outcome, Dut::digest(&hart)));
+        if matches!(
+            outcome,
+            StepOutcome::Trapped(Trap::Breakpoint { .. } | Trap::EnvironmentCall)
+        ) {
+            break;
+        }
+    }
+    expected
+}
+
 #[test]
 fn every_request_kind_round_trips_exactly() {
     let program = generated_program(3, 24);
     let words: Vec<u32> = program.iter().map(Instruction::encode_lossy).collect();
+    let expected = expected_stream(&program, 128);
+    let traps = expected
+        .iter()
+        .filter(|(outcome, _)| matches!(outcome, StepOutcome::Trapped(_)))
+        .count();
+    assert!(
+        0 < traps && traps < expected.len(),
+        "the replay stream carries both outcome kinds"
+    );
     let requests = [
         Request::Hello {
             version: PROTOCOL_VERSION,
@@ -47,7 +95,7 @@ fn every_request_kind_round_trips_exactly() {
         Request::Reset,
         Request::Load {
             base: 0x8000_0000,
-            words,
+            words: words.clone(),
         },
         Request::Load {
             base: 0,
@@ -62,6 +110,15 @@ fn every_request_kind_round_trips_exactly() {
         Request::TraceOn,
         Request::TraceTake,
         Request::Shutdown,
+        Request::RunProgram {
+            max_steps: 128,
+            words: words.clone(),
+        },
+        Request::Replay { words, expected },
+        Request::Replay {
+            words: Vec::new(),
+            expected: Vec::new(),
+        },
     ];
     for request in &requests {
         assert_eq!(&roundtrip_request(request), request);
@@ -106,7 +163,18 @@ fn every_response_kind_round_trips_exactly() {
         Response::Stepped(entries[0].outcome),
         Response::Digested(0x0123_4567_89AB_CDEF),
         Response::Trace(None),
-        Response::Trace(Some(entries)),
+        Response::Trace(Some(entries.clone())),
+        Response::Replayed(None),
+        Response::Replayed(Some(ReplayStop {
+            step: 3,
+            entry: Some(entries[2]),
+            digest: 0xFEED_FACE_CAFE_BEEF,
+        })),
+        Response::Replayed(Some(ReplayStop {
+            step: 1,
+            entry: None,
+            digest: 0,
+        })),
     ];
     for response in &responses {
         assert_eq!(&roundtrip_response(response), response);
@@ -242,6 +310,10 @@ fn handshake_rejects_version_and_fingerprint_drift() {
     assert!(check_handshake(PROTOCOL_VERSION, STABILITY_FINGERPRINT).is_ok());
     let err = check_handshake(PROTOCOL_VERSION + 1, STABILITY_FINGERPRINT).unwrap_err();
     assert!(err.contains("protocol version"), "{err}");
+    // Version 1 had no whole-program frames: its peers are refused.
+    assert_eq!(PROTOCOL_VERSION, 2);
+    let err = check_handshake(1, STABILITY_FINGERPRINT).unwrap_err();
+    assert!(err.contains("protocol version 1"), "{err}");
     let err = check_handshake(PROTOCOL_VERSION, STABILITY_FINGERPRINT ^ 0xA5).unwrap_err();
     assert!(err.contains("fingerprint"), "{err}");
 }
@@ -316,6 +388,85 @@ fn served_batches_match_in_process_execution_exactly() {
     assert!(matches!(read_response(&mut stream), Err(WireError::Eof)));
 }
 
+/// The whole-program frames answer exactly what the in-process default
+/// bodies of `Dut::run_program` and `Dut::replay` return — batches,
+/// replay stops and refusals — for the golden hart and every mutant.
+#[test]
+fn whole_program_frames_answer_what_the_default_bodies_return() {
+    let mut programs: Vec<Vec<Instruction>> =
+        (0..16).map(|seed| generated_program(seed, 24)).collect();
+    // Longer than the device's memory: both frames are refused.
+    programs.push(vec![Instruction::nop(); (MEM / 4) as usize + 1]);
+    let (mut agreed, mut stopped) = (0, 0);
+    for scenario in std::iter::once(None).chain(BugScenario::ALL.map(Some)) {
+        let make = || -> Box<dyn Dut> {
+            match scenario {
+                Some(scenario) => Box::new(MutantHart::new(MEM, scenario)),
+                None => Box::new(Hart::new(MEM)),
+            }
+        };
+        let mut direct = make();
+        let mut requests = client_hello(0);
+        let mut want = Vec::new();
+        for program in &programs {
+            let run = Request::RunProgram {
+                max_steps: 128,
+                words: words_of(program),
+            };
+            write_request(&mut requests, &run).unwrap();
+            let mut batch = BatchOutcome::default();
+            want.push(match direct.run_program(program, 128, &mut batch) {
+                Ok(()) => Response::Batch(batch),
+                Err(trap) => Response::Loaded(Some(trap)),
+            });
+            let expected = if program.len() > 64 {
+                Vec::new()
+            } else {
+                expected_stream(program, 128)
+            };
+            let replay = Request::Replay {
+                words: words_of(program),
+                expected: expected.clone(),
+            };
+            write_request(&mut requests, &replay).unwrap();
+            want.push(match direct.replay(program, &expected) {
+                Ok(stop) => {
+                    agreed += u32::from(stop.is_none());
+                    stopped += u32::from(stop.is_some());
+                    Response::Replayed(stop)
+                }
+                Err(trap) => Response::Loaded(Some(trap)),
+            });
+        }
+        write_request(&mut requests, &Request::Shutdown).unwrap();
+
+        let mut served = make();
+        let mut output = Vec::new();
+        let chaos = ChaosConfig::default();
+        let outcome = serve(
+            served.as_mut(),
+            &chaos,
+            &mut Cursor::new(requests),
+            &mut output,
+        );
+        assert_eq!(outcome.unwrap(), ServeOutcome::ClientShutdown);
+        let mut stream = Cursor::new(output);
+        assert!(matches!(
+            read_response(&mut stream).unwrap(),
+            Response::Hello { .. }
+        ));
+        for (i, want) in want.into_iter().enumerate() {
+            let got = read_response(&mut stream).unwrap();
+            assert_eq!(got, want, "{} answer {i}", direct.name());
+        }
+        assert!(matches!(read_response(&mut stream), Err(WireError::Eof)));
+    }
+    assert!(
+        agreed > 0 && stopped > 0,
+        "{agreed} agreed, {stopped} stopped"
+    );
+}
+
 #[test]
 fn serve_rejects_an_incompatible_client_hello() {
     let mut requests = Vec::new();
@@ -341,79 +492,131 @@ fn serve_rejects_an_incompatible_client_hello() {
 }
 
 /// Chaos crash and garble fire at the exact configured cumulative batch
-/// ordinal — including when the client hello rebases the counter, the
-/// mechanism that keeps respawned and resumed children from re-firing.
+/// ordinal — on per-call `Run` frames and whole-program `RunProgram`
+/// frames alike, including when the client hello rebases the counter,
+/// the mechanism that keeps respawned and resumed children from
+/// re-firing.
 #[test]
 fn chaos_triggers_fire_once_at_the_exact_batch_ordinal() {
-    let run = Request::Run {
+    let runs = [
+        Request::Run {
+            max_steps: 64,
+            digest_every: 0,
+        },
+        Request::RunProgram {
+            max_steps: 64,
+            words: words_of(&generated_program(5, 16)),
+        },
+    ];
+    for run in &runs {
+        let session = |batch_offset: u64, runs: usize, chaos: ChaosConfig| {
+            let mut requests = client_hello(batch_offset);
+            for _ in 0..runs {
+                write_request(&mut requests, run).unwrap();
+            }
+            write_request(&mut requests, &Request::Shutdown).unwrap();
+            let mut served = Hart::new(MEM);
+            let mut output = Vec::new();
+            let outcome = serve(&mut served, &chaos, &mut Cursor::new(requests), &mut output);
+            (outcome.unwrap(), output)
+        };
+
+        // Crash at ordinal 1: the second run dies unanswered.
+        let chaos = ChaosConfig {
+            crash_after: Some(1),
+            ..ChaosConfig::default()
+        };
+        let (outcome, output) = session(0, 3, chaos);
+        assert_eq!(outcome, ServeOutcome::ChaosCrash, "{run:?}");
+        let mut stream = Cursor::new(output);
+        assert!(matches!(
+            read_response(&mut stream).unwrap(),
+            Response::Hello { .. }
+        ));
+        assert!(matches!(
+            read_response(&mut stream).unwrap(),
+            Response::Batch(_)
+        ));
+        assert!(
+            matches!(read_response(&mut stream), Err(WireError::Eof)),
+            "the crashing batch must not be answered: {run:?}"
+        );
+
+        // The same schedule with the counter rebased past the ordinal
+        // never fires: this is what a respawned child sees.
+        let chaos = ChaosConfig {
+            crash_after: Some(1),
+            ..ChaosConfig::default()
+        };
+        let (outcome, _) = session(2, 3, chaos);
+        assert_eq!(outcome, ServeOutcome::ClientShutdown, "{run:?}");
+
+        // Garble at ordinal 0: the first run answers with a corrupt
+        // frame.
+        let chaos = ChaosConfig {
+            garble_after: Some(0),
+            ..ChaosConfig::default()
+        };
+        let (outcome, output) = session(0, 2, chaos);
+        assert_eq!(outcome, ServeOutcome::ChaosGarbled, "{run:?}");
+        let mut stream = Cursor::new(output);
+        assert!(matches!(
+            read_response(&mut stream).unwrap(),
+            Response::Hello { .. }
+        ));
+        assert!(matches!(
+            read_response(&mut stream),
+            Err(WireError::Garbled(_))
+        ));
+    }
+}
+
+/// Only batches move the chaos ordinal: a `RunProgram` frame whose
+/// program the device refuses and every `Replay` frame pass without
+/// consuming one, as a refused `Load` and the per-step replay frames
+/// never did.
+#[test]
+fn refused_programs_and_replays_consume_no_chaos_ordinal() {
+    let program = generated_program(5, 16);
+    let run = Request::RunProgram {
         max_steps: 64,
-        digest_every: 0,
+        words: words_of(&program),
     };
-    let session = |batch_offset: u64, runs: usize, chaos: ChaosConfig| {
-        let mut requests = Vec::new();
-        write_request(
-            &mut requests,
-            &Request::Hello {
-                version: PROTOCOL_VERSION,
-                fingerprint: STABILITY_FINGERPRINT,
-                batch_offset,
-            },
-        )
-        .unwrap();
-        for _ in 0..runs {
-            write_request(&mut requests, &run).unwrap();
-        }
-        write_request(&mut requests, &Request::Shutdown).unwrap();
-        let mut served = Hart::new(MEM);
-        let mut output = Vec::new();
-        let outcome = serve(&mut served, &chaos, &mut Cursor::new(requests), &mut output);
-        (outcome.unwrap(), output)
+    let replay = Request::Replay {
+        words: words_of(&program),
+        expected: expected_stream(&program, 64),
     };
-
-    // Crash at ordinal 1: the second Run dies unanswered.
+    let refused = Request::RunProgram {
+        max_steps: 64,
+        words: vec![Instruction::nop().encode_lossy(); (MEM / 4) as usize + 1],
+    };
+    let mut requests = client_hello(0);
+    for request in [&refused, &replay, &run, &replay, &refused, &run, &run] {
+        write_request(&mut requests, request).unwrap();
+    }
     let chaos = ChaosConfig {
         crash_after: Some(1),
         ..ChaosConfig::default()
     };
-    let (outcome, output) = session(0, 3, chaos);
-    assert_eq!(outcome, ServeOutcome::ChaosCrash);
+    let mut served = Hart::new(MEM);
+    let mut output = Vec::new();
+    let outcome = serve(&mut served, &chaos, &mut Cursor::new(requests), &mut output);
+    assert_eq!(outcome.unwrap(), ServeOutcome::ChaosCrash);
     let mut stream = Cursor::new(output);
-    assert!(matches!(
-        read_response(&mut stream).unwrap(),
-        Response::Hello { .. }
-    ));
-    assert!(matches!(
-        read_response(&mut stream).unwrap(),
-        Response::Batch(_)
-    ));
-    assert!(
-        matches!(read_response(&mut stream), Err(WireError::Eof)),
-        "the crashing batch must not be answered"
+    let mut kinds = Vec::new();
+    while let Ok(response) = read_response(&mut stream) {
+        kinds.push(match response {
+            Response::Hello { .. } => "hello",
+            Response::Loaded(Some(_)) => "refused",
+            Response::Replayed(None) => "replayed",
+            Response::Batch(_) => "batch",
+            other => panic!("unexpected {other:?}"),
+        });
+    }
+    // Ordinal 0 is the first program that loaded; the crash takes the
+    // second one's answer.
+    assert_eq!(
+        kinds,
+        ["hello", "refused", "replayed", "batch", "replayed", "refused"]
     );
-
-    // The same schedule with the counter rebased past the ordinal never
-    // fires: this is what a respawned child sees.
-    let chaos = ChaosConfig {
-        crash_after: Some(1),
-        ..ChaosConfig::default()
-    };
-    let (outcome, _) = session(2, 3, chaos);
-    assert_eq!(outcome, ServeOutcome::ClientShutdown);
-
-    // Garble at ordinal 0: the first Run answers with a corrupt frame.
-    let chaos = ChaosConfig {
-        garble_after: Some(0),
-        ..ChaosConfig::default()
-    };
-    let (outcome, output) = session(0, 2, chaos);
-    assert_eq!(outcome, ServeOutcome::ChaosGarbled);
-    let mut stream = Cursor::new(output);
-    assert!(matches!(
-        read_response(&mut stream).unwrap(),
-        Response::Hello { .. }
-    ));
-    assert!(matches!(
-        read_response(&mut stream),
-        Err(WireError::Garbled(_))
-    ));
 }
